@@ -177,44 +177,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, policy=True):
-        p.add_argument("--format", choices=("json", "dot", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
+    def budget(p):
         p.add_argument("--budget-edges", type=int, default=None)
-        if policy:
-            p.add_argument(
-                "--policy", choices=("literal", "extended"), default="extended"
-            )
+
+    def jobs(p):
+        p.add_argument("--jobs", type=int, default=1)
+
+    def policy(p):
+        p.add_argument("--policy", choices=("literal", "extended"), default="extended")
 
     p = sub.add_parser("check-word", help="map a word to its graph or test a file")
     p.add_argument("--word", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph")
     group.add_argument("--emit-graph", action="store_true")
-    common(p, policy=False)
+    p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.set_defaults(func=cmd_check_word)
 
     p = sub.add_parser("decide", help="decide word-representability of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--emit-certificate", action="store_true")
-    common(p, policy=False)
+    budget(p)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("colour", help="chromatic number or k-colourability")
     p.add_argument("--graph", required=True)
     p.add_argument("--colours", type=int, default=None)
-    common(p, policy=False)
     p.set_defaults(func=cmd_colour)
 
     p = sub.add_parser("enumerate", help="list triangulation literals of a board")
     p.add_argument("--board", required=True)
     p.add_argument("--exploratory", action="store_true")
-    common(p, policy=False)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("catalog", help="dump the forbidden catalog")
     p.add_argument("--emit", choices=("json", "dot"), default="json")
-    common(p)
+    policy(p)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify", help="verify one board or sweep boards")
@@ -222,13 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--board")
     group.add_argument("--sweep", metavar="RxC")
     p.add_argument("--domino-modes", default="0,1")
-    common(p)
+    budget(p)
+    jobs(p)
+    policy(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="sweep all boards up to RxC")
     p.add_argument("size", metavar="RxC")
     p.add_argument("--domino-modes", default="0,1")
-    common(p)
+    budget(p)
+    jobs(p)
+    policy(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser

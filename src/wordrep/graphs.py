@@ -173,6 +173,46 @@ def _dominates(host_degs: tuple[int, ...], pat_degs: tuple[int, ...]) -> bool:
     return all(h >= p for h, p in zip(host_degs, pat_degs))
 
 
+def _backtrack(
+    host: Graph, pattern: Graph, order: list[int], candidates: list[list[int]]
+) -> Optional[tuple[int, ...]]:
+    """First induced embedding of pattern into host, or None.
+
+    Pattern vertices are placed in ``order``; vertex p tries the host vertices
+    ``candidates[p]`` in list order.  Each placement must match adjacency and
+    non-adjacency against every vertex placed before it, so the order and the
+    candidate lists fix which embedding is found first.
+    """
+    mapping = [-1] * pattern.n
+    used = 0
+
+    def place(i: int) -> bool:
+        nonlocal used
+        if i == pattern.n:
+            return True
+        p = order[i]
+        for h in candidates[p]:
+            if used >> h & 1:
+                continue
+            ok = True
+            for q in order[:i]:
+                if pattern.has_edge(p, q) != host.has_edge(h, mapping[q]):
+                    ok = False
+                    break
+            if ok:
+                mapping[p] = h
+                used |= 1 << h
+                if place(i + 1):
+                    return True
+                used ^= 1 << h
+                mapping[p] = -1
+        return False
+
+    if place(0):
+        return tuple(mapping)
+    return None
+
+
 def _induced_search(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
     """Backtracking search for an induced embedding of pattern into host.
 
@@ -218,34 +258,7 @@ def _induced_search(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
         placed_mask |= 1 << best
         remaining.discard(best)
 
-    mapping = [-1] * pattern.n
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == pattern.n:
-            return True
-        p = order[i]
-        for h in candidates[p]:
-            if used >> h & 1:
-                continue
-            ok = True
-            for q in order[:i]:
-                if pattern.has_edge(p, q) != host.has_edge(h, mapping[q]):
-                    ok = False
-                    break
-            if ok:
-                mapping[p] = h
-                used |= 1 << h
-                if place(i + 1):
-                    return True
-                used ^= 1 << h
-                mapping[p] = -1
-        return False
-
-    if place(0):
-        return tuple(mapping)
-    return None
+    return _backtrack(host, pattern, order, candidates)
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
@@ -309,32 +322,11 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
         return False
 
     order = sorted(range(a.n), key=lambda v: (sorted(ca).count(ca[v]), -a.degree(v), v))
-    mapping = [-1] * a.n
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == a.n:
-            return True
-        p = order[i]
-        for h in range(b.n):
-            if used >> h & 1 or cb[h] != ca[p]:
-                continue
-            ok = True
-            for q in order[:i]:
-                if a.has_edge(p, q) != b.has_edge(h, mapping[q]):
-                    ok = False
-                    break
-            if ok:
-                mapping[p] = h
-                used |= 1 << h
-                if place(i + 1):
-                    return True
-                used ^= 1 << h
-                mapping[p] = -1
-        return False
-
-    return place(0)
+    by_colour: dict[int, list[int]] = {}
+    for h in range(b.n):
+        by_colour.setdefault(cb[h], []).append(h)
+    candidates = [by_colour[ca[p]] for p in range(a.n)]
+    return _backtrack(b, a, order, candidates) is not None
 
 
 @lru_cache(maxsize=None)

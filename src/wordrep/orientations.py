@@ -149,6 +149,35 @@ def _closure(out: list[int], n: int) -> Optional[tuple[list[int], list[int]]]:
     return desc, anc
 
 
+def _shortcut(
+    adj: tuple[int, ...], out: list[int], n: int, desc: list[int], anc: list[int]
+) -> Optional[tuple[int, int, int, int]]:
+    """First completed shortcut as (tail, head, x, y), or None.
+
+    The arc tail -> head is present, x and y lie in that order on a directed
+    path from tail to head, and x, y are not adjacent.  Arcs are scanned
+    tail-major in ascending vertex order.  On a partial orientation the
+    shortcut persists under any extension: arcs are only ever added, so
+    reachability grows and non-adjacent pairs stay non-adjacent.
+    """
+    for u in range(n):
+        m = out[u]
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            between = (desc[u] | 1 << u) & (anc[v] | 1 << v)
+            probe = between
+            while probe:
+                lp = probe & -probe
+                x = lp.bit_length() - 1
+                probe ^= lp
+                bad = desc[x] & between & ~adj[x] & ~(1 << x)
+                if bad:
+                    return u, v, x, (bad & -bad).bit_length() - 1
+    return None
+
+
 def is_acyclic(o: Orientation) -> bool:
     if not o.is_total:
         raise ValueError("acyclicity is only defined for total orientations")
@@ -206,22 +235,23 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     closed = _closure(out, g.n)
     if closed is None:
         raise ValueError("shortcut search needs an acyclic orientation")
-    desc, anc = closed
-    for tail, head in o.arcs():
-        between = (desc[tail] | 1 << tail) & (anc[head] | 1 << head)
-        for x in bits(between):
-            bad = desc[x] & between & ~g.adj[x] & ~(1 << x)
-            if bad:
-                y = (bad & -bad).bit_length() - 1
-                path = _bfs_path(out, tail, x)
-                path += _bfs_path(out, x, y)[1:]
-                path += _bfs_path(out, y, head)[1:]
-                return ShortcutWitness(tuple(path), (x, y))
-    return None
+    hit = _shortcut(g.adj, out, g.n, *closed)
+    if hit is None:
+        return None
+    tail, head, x, y = hit
+    path = _bfs_path(out, tail, x)
+    path += _bfs_path(out, x, y)[1:]
+    path += _bfs_path(out, y, head)[1:]
+    return ShortcutWitness(tuple(path), (x, y))
 
 
 def is_semi_transitive(o: Orientation) -> bool:
-    return is_acyclic(o) and find_shortcut(o) is None
+    if not o.is_total:
+        raise ValueError("acyclicity is only defined for total orientations")
+    g = o.graph
+    out = o.out_masks()
+    closed = _closure(out, g.n)
+    return closed is not None and _shortcut(g.adj, out, g.n, *closed) is None
 
 
 def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
@@ -241,31 +271,6 @@ def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
         FORWARD if c.colours[u] < c.colours[v] else BACKWARD for u, v in g.edges
     )
     return Orientation(g, dirs)
-
-
-def _has_completed_shortcut(
-    g: Graph, out: list[int], n: int, desc: list[int], anc: list[int]
-) -> bool:
-    """True if the partial orientation already contains a completed shortcut.
-
-    The condition persists under any extension: arcs are only ever added, so
-    reachability grows and non-adjacent pairs stay non-adjacent.
-    """
-    for u in range(n):
-        m = out[u]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            between = (desc[u] | 1 << u) & (anc[v] | 1 << v)
-            probe = between
-            while probe:
-                lp = probe & -probe
-                x = lp.bit_length() - 1
-                probe ^= lp
-                if desc[x] & between & ~g.adj[x] & ~(1 << x):
-                    return True
-    return False
 
 
 def exists_semi_transitive(
@@ -298,7 +303,6 @@ def exists_semi_transitive(
     )
     dirs: list[Optional[int]] = [None] * m
     out = [0] * g.n
-    edge_index = {e: i for i, e in enumerate(g.edges)}
     n = g.n
 
     def apply(i: int, d: int, trail: list[int]) -> None:
@@ -323,7 +327,7 @@ def exists_semi_transitive(
             if closed is None:
                 return False  # directed cycle
             desc, anc = closed
-            if _has_completed_shortcut(g, out, n, desc, anc):
+            if _shortcut(g.adj, out, n, desc, anc) is not None:
                 return False
             forced: list[tuple[int, int]] = []
             for i in range(m):

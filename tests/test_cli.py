@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from wordrep.cli import main
 from wordrep.graphs import cycle, wheel
 
 
@@ -150,3 +153,41 @@ class TestVerify:
         assert rc == 3
         summary = json.loads(out.strip().split("\n")[-1])
         assert summary["budget_exceeded"] == 4
+
+
+BASE_ARGV = {
+    "check-word": ("check-word", "--word", "1212", "--emit-graph"),
+    "decide": ("decide", "--graph", "g.json"),
+    "colour": ("colour", "--graph", "g.json"),
+    "enumerate": ("enumerate", "--board", "cells 1x1"),
+    "catalog": ("catalog",),
+    "verify": ("verify", "--board", "cells 1x1"),
+    "sweep": ("sweep", "1x1"),
+}
+
+FLAG_VALUES = {"--format": "json", "--jobs": "1", "--budget-edges": "5"}
+
+UNREAD_FLAGS = [
+    ("check-word", "--jobs"),
+    ("check-word", "--budget-edges"),
+    ("decide", "--format"),
+    ("decide", "--jobs"),
+    ("colour", "--format"),
+    ("colour", "--jobs"),
+    ("colour", "--budget-edges"),
+    ("enumerate", "--format"),
+    ("enumerate", "--jobs"),
+    ("enumerate", "--budget-edges"),
+    ("catalog", "--format"),
+    ("catalog", "--jobs"),
+    ("catalog", "--budget-edges"),
+    ("verify", "--format"),
+    ("sweep", "--format"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_subcommands_reject_flags_they_do_not_read(command, flag, capsys):
+    rc = main([*BASE_ARGV[command], flag, FLAG_VALUES[flag]])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

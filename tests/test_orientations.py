@@ -100,6 +100,43 @@ class TestShortcuts:
             assert not w.verify(Orientation(g, tuple(weakened)))
 
 
+def semi_transitive_by_paths(o: Orientation) -> bool:
+    """The definition, by enumerating every simple directed path."""
+    arcs = set(o.arcs())
+    stack = [(v,) for v in range(o.graph.n)]
+    while stack:
+        p = stack.pop()
+        if (p[-1], p[0]) in arcs:
+            return False  # the path closes a directed cycle
+        if (
+            len(p) >= 4
+            and (p[0], p[-1]) in arcs
+            and not set(itertools.combinations(p, 2)) <= arcs
+        ):
+            return False
+        stack.extend(p + (h,) for t, h in arcs if t == p[-1] and h not in p)
+    return True
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle(4), cycle(5), complete(4), wheel(4), wheel(5)],
+    ids=["C4", "C5", "K4", "W4", "W5"],
+)
+def test_shortcut_scan_matches_definition_on_every_orientation(g):
+    any_passes = False
+    for dirs in itertools.product((1, -1), repeat=g.edge_count):
+        o = Orientation(g, dirs)
+        expected = semi_transitive_by_paths(o)
+        assert is_semi_transitive(o) == expected
+        any_passes = any_passes or expected
+        if is_acyclic(o):
+            w = find_shortcut(o)
+            assert (w is None) == expected
+            assert w is None or w.verify(o)
+    assert (exists_semi_transitive(g) is None) == (not any_passes)
+
+
 class TestColourOrientation:
     def test_triangle(self):
         o = orientation_from_colouring(complete(3), Colouring((1, 2, 3)))
