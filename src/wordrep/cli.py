@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from .boards import parse_board, enumerate_triangulations
@@ -46,6 +47,10 @@ def _budget(args) -> Optional[int]:
 
 
 def cmd_check_word(args) -> int:
+    if args.emit_graph and args.format == "text":
+        raise ValueError("--emit-graph takes --format json or dot")
+    if args.graph is not None and args.format == "dot":
+        raise ValueError("--graph takes --format json or text")
     word = parse_word(args.word)
     n = max(word) + 1
     derived = graph_of_word(word, n)
@@ -158,6 +163,12 @@ def cmd_verify(args) -> int:
             report.violations.extend(flip.violations)
     write_report(sys.stdout, report, classifications)
     print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
+    routes = Counter(c.route for c in classifications)
+    print(
+        "routes: "
+        + " ".join(f"{r}={routes[r]}" for r in ("colouring", "odd_wheel", "search", "budget")),
+        file=sys.stderr,
+    )
     return report.exit_code()
 
 

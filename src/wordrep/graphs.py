@@ -286,6 +286,41 @@ def wheel(m: int) -> Graph:
     return Graph.from_edges(m + 1, edges)
 
 
+def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(hub, rim) of a vertex whose neighbourhood is a chordless odd cycle, or None.
+
+    The hub is the first vertex in index order whose open neighbourhood
+    induces a chordless cycle of odd length at least 5.  The rim lists that
+    cycle in cyclic order: it starts at the lowest rim vertex and steps first
+    to that vertex's lower rim neighbour.
+    """
+    for hub in range(g.n):
+        ring = g.adj[hub]
+        size = ring.bit_count()
+        if size < 5 or not size & 1:
+            continue
+        # A chordless cycle: every ring vertex has exactly two ring neighbours
+        # and the walk from the lowest one closes only after visiting all.
+        m = ring
+        while m:
+            low = m & -m
+            if (g.adj[low.bit_length() - 1] & ring).bit_count() != 2:
+                break
+            m ^= low
+        if m:
+            continue
+        start = (ring & -ring).bit_length() - 1
+        nbrs = g.adj[start] & ring
+        prev, cur = start, (nbrs & -nbrs).bit_length() - 1
+        rim = [start]
+        while cur != start:
+            rim.append(cur)
+            prev, cur = cur, (g.adj[cur] & ring & ~(1 << prev)).bit_length() - 1
+        if len(rim) == size:
+            return hub, tuple(rim)
+    return None
+
+
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 

@@ -4,17 +4,21 @@ An orientation is semi-transitive when it is acyclic and has no shortcut: a
 directed path v1 -> ... -> vk (k >= 4) whose closing arc v1 -> vk is present
 while some arc vi -> vj (i < j) is missing.  A graph is word-representable
 exactly when it admits a semi-transitive orientation, which is what
-``decide_word_representable`` computes.
+``decide_word_representable`` computes.  ``check_odd_wheel`` re-checks an
+induced odd wheel as proof that a graph is not word-representable, without
+any orientation search.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from itertools import product
+from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Colouring, Graph, bits, is_k_colourable
+from .graphs import Colouring, Graph, bits, cycle, is_k_colourable
 
 DEFAULT_EDGE_BUDGET = 48
 MAX_SEARCH_VERTICES = 20
@@ -271,6 +275,53 @@ def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
         FORWARD if c.colours[u] < c.colours[v] else BACKWARD for u, v in g.edges
     )
     return Orientation(g, dirs)
+
+
+@lru_cache(maxsize=None)
+def cycle_is_comparability(m: int) -> bool:
+    """True iff the chordless m-cycle (m >= 3) has a transitive orientation.
+
+    Brute force over all 2^m orientations of C_m: an orientation is
+    transitive when every directed path a -> b -> c has the arc a -> c.  The
+    cost grows as 2^m; on the swept 3x3 boards the rims ``classify`` checks
+    have m <= 9.
+    """
+    c = cycle(m)
+    for dirs in product((FORWARD, BACKWARD), repeat=c.edge_count):
+        out = Orientation(c, dirs).out_masks()
+        if all(out[b] & ~out[a] == 0 for a in range(m) for b in bits(out[a])):
+            return True
+    return False
+
+
+def check_odd_wheel(g: Graph, hub: int, rim: Sequence[int]) -> bool:
+    """True when ``hub`` and ``rim`` prove that ``g`` is not word-representable.
+
+    The rim must list at least 3 distinct in-range vertices other than the
+    hub, each adjacent to the hub, that form a chordless cycle C_m in the
+    order given; hub and rim then induce the wheel W_m.  Every neighbourhood
+    of a word-representable graph induces a comparability graph
+    (Kitaev-Pyatkin 2008), so the certificate holds when the brute force of
+    ``cycle_is_comparability`` finds that C_m is not one, which is the case
+    exactly for odd m >= 5.  Word-representability is hereditary
+    (Halldorsson-Kitaev-Pyatkin 2016), so ``g`` is not word-representable
+    either.  No search over the orientations of ``g`` is involved.
+    """
+    m = len(rim)
+    if m < 3:
+        return False
+    if not all(0 <= v < g.n for v in (hub, *rim)):
+        return False
+    if len(set(rim)) != m or hub in rim:
+        return False
+    for i, u in enumerate(rim):
+        if not g.has_edge(hub, u):
+            return False
+        for j in range(i + 1, m):
+            consecutive = j == i + 1 or (i == 0 and j == m - 1)
+            if g.has_edge(u, rim[j]) != consecutive:
+                return False
+    return not cycle_is_comparability(m)
 
 
 def exists_semi_transitive(

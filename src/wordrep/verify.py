@@ -1,8 +1,8 @@
 """Exhaustive desk-scale checks of the colourability/representability equivalence.
 
 Every triangulation of a board gets a Classification with three independent
-verdicts: proper 3-colourability, word-representability (decided through
-semi-transitive orientations, never through the forbidden catalog), and the
+verdicts: proper 3-colourability, word-representability (decided through a
+re-checked certificate, never through the forbidden catalog), and the
 presence of a forbidden induced pattern.  Sweeps assert that the first two
 verdicts agree and that the third tracks non-3-colourability, and they refuse
 to claim exhaustiveness whenever any search ran out of budget.
@@ -40,12 +40,14 @@ from .errors import BudgetExceededError
 from .graphs import (
     Graph,
     are_isomorphic,
+    find_odd_wheel,
     induced,
     is_k_colourable,
     refinement_hash,
     wheel,
 )
 from .orientations import (
+    check_odd_wheel,
     exists_semi_transitive,
     is_semi_transitive,
     orientation_from_colouring,
@@ -74,6 +76,17 @@ class Classification:
             "embedded_hit": self.embedded_hit,
             "certificate": self.certificate,
         }
+
+    @property
+    def route(self) -> str:
+        """How the representability verdict was reached: colouring,
+        odd_wheel, search or budget."""
+        if self.word_representable == BUDGET:
+            return "budget"
+        if self.certificate is None or "orientation" in self.certificate:
+            return "search"
+        (kind,) = self.certificate
+        return kind
 
 
 @dataclass(frozen=True)
@@ -146,24 +159,26 @@ class SweepReport:
 
 
 class VerdictCache:
-    """Isomorphism-class verdict cache.
+    """Isomorphism-class cache of the forbidden-hit flag of 3-colourable hosts.
 
-    Only isomorphism-invariant facts are stored (representability verdict and
-    forbidden-hit presence), so cache reuse can never change report contents,
-    only skip redundant exhaustive searches.
+    Only the isomorphism-invariant hit-free flag is stored, so cache reuse can
+    never change report contents; a host isomorphic to a hit-free one needs
+    only the embedded scan.  No representability verdict is reused: each one
+    carries its own certificate.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, list[tuple[Graph, dict]]] = {}
+        self._buckets: dict[tuple, list[tuple[Graph, bool]]] = {}
 
-    def lookup(self, g: Graph) -> Optional[dict]:
-        for other, verdict in self._buckets.get(refinement_hash(g), ()):
+    def lookup(self, g: Graph) -> Optional[bool]:
+        """The hit-free flag of a stored host isomorphic to ``g``, or None."""
+        for other, hit_free in self._buckets.get(refinement_hash(g), ()):
             if are_isomorphic(g, other):
-                return verdict
+                return hit_free
         return None
 
-    def store(self, g: Graph, verdict: dict) -> None:
-        self._buckets.setdefault(refinement_hash(g), []).append((g, verdict))
+    def store(self, g: Graph, hit_free: bool) -> None:
+        self._buckets.setdefault(refinement_hash(g), []).append((g, hit_free))
 
 
 def classify(
@@ -177,14 +192,21 @@ def classify(
 ) -> Classification:
     """Fill all three verdicts for one triangulation graph.
 
-    Word-representability goes through the 3-colouring fast path when one
-    exists (the certificate orientation is still re-checked) and otherwise
-    through the exhaustive orientation search; the forbidden-pattern verdict
-    is computed independently of both.
+    Word-representability takes the first of three routes that applies: a
+    proper 3-colouring gives "yes" (its orientation is still re-checked); a
+    vertex whose neighbourhood induces a chordless cycle of odd length >= 5,
+    found by ``find_odd_wheel`` and accepted by ``check_odd_wheel``, gives
+    "no"; otherwise the exhaustive orientation search decides, within
+    ``edge_budget``.  The
+    forbidden-pattern verdict is computed independently of all three.
     """
     g = e.graph
     colouring = is_k_colourable(g, 3)
-    cached = cache.lookup(g) if cache is not None else None
+    # Only 3-colourable hosts use the cache: each "no" needs its own wheel.
+    cached_hit_free = (
+        cache.lookup(g) if cache is not None and colouring is not None else None
+    )
+    odd_wheel = find_odd_wheel(g) if colouring is None else None
 
     certificate: Optional[dict] = None
     if colouring is not None:
@@ -193,8 +215,10 @@ def classify(
             raise AssertionError("3-colouring certificate failed self-check")
         wr = YES
         certificate = {"colouring": list(colouring.colours)}
-    elif cached is not None and cached["wr"] in (NO, BUDGET):
-        wr = cached["wr"]
+    elif odd_wheel is not None and check_odd_wheel(g, *odd_wheel):
+        hub, rim = odd_wheel
+        wr = NO
+        certificate = {"odd_wheel": (hub, *rim)}
     else:
         try:
             o = exists_semi_transitive(g, edge_budget)
@@ -210,13 +234,11 @@ def classify(
                 certificate = {"orientation": o.to_json_obj()}
 
     # A host isomorphic to a cached hit-free one needs only the embedded scan.
-    hit = find_forbidden(
-        e, s, embedded_only=cached is not None and not cached["hit_present"]
-    )
+    hit = find_forbidden(e, s, embedded_only=bool(cached_hit_free))
     hit_name = hit.name if hit is not None else None
 
-    if cache is not None and cached is None:
-        cache.store(g, {"wr": wr, "hit_present": hit_name is not None})
+    if cache is not None and colouring is not None and cached_hit_free is None:
+        cache.store(g, hit_name is None)
 
     return Classification(
         board=board_id,

@@ -13,13 +13,23 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from random import Random
 
 import pytest
 
 from conftest import ACCEPTANCE_LINES
 
-from wordrep.boards import Axis, Board, Domino, domino_placements, enumerate_triangulations
+from wordrep.boards import (
+    Axis,
+    Board,
+    Domino,
+    domino_placements,
+    enumerate_triangulations,
+    parse_board,
+    parse_triangulation,
+    triangulate,
+)
 from wordrep.catalog import closure_report, minimal_graphs
 from wordrep.errors import BudgetExceededError
 from wordrep.graphs import (
@@ -34,6 +44,7 @@ from wordrep.graphs import (
     wheel,
 )
 from wordrep.orientations import (
+    check_odd_wheel,
     decide_word_representable,
     exists_semi_transitive,
     is_semi_transitive,
@@ -197,6 +208,25 @@ def test_criterion_7_forbidden_set_lemma(domino_sweep, zero_domino_sweep):
             f"points to a catalog or matcher fault"
         )
     record(7, not gaps, detail)
+
+
+def test_every_no_carries_a_checked_odd_wheel(zero_domino_sweep, domino_sweep):
+    """A swept triangulation is non-3-colourable iff it has a vertex whose
+    neighbourhood induces a chordless cycle of length 5, 7 or 9, and that
+    odd wheel is what decides its "no"."""
+    sizes = Counter()
+    for _, cls, _ in (zero_domino_sweep, domino_sweep):
+        for c in cls:
+            if c.three_colourable:
+                assert c.word_representable == "yes" and c.route == "colouring"
+                continue
+            assert c.word_representable == "no" and c.route == "odd_wheel"
+            board = parse_board(c.board)
+            host = triangulate(board, parse_triangulation(board, c.triangulation))
+            hub, *rim = c.certificate["odd_wheel"]
+            assert check_odd_wheel(host.graph, hub, rim)
+            sizes[f"W{len(rim)}"] += 1
+    assert sizes == {"W5": 1242, "W7": 772, "W9": 66}
 
 
 def test_criterion_8_domino_flip_invariance(domino_sweep):

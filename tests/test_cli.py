@@ -44,6 +44,19 @@ class TestCheckWord:
         assert rc == 0
         assert out.strip() == "represents: true"
 
+    def test_format_must_fit_the_mode(self, graph_file):
+        rc, out, err = run_cli(
+            "check-word", "--word", "1212", "--emit-graph", "--format", "text"
+        )
+        assert (rc, out) == (2, "")
+        assert "error" in err
+        rc, out, err = run_cli(
+            "check-word", "--word", "14213243", "--graph", graph_file(cycle(4)),
+            "--format", "dot",
+        )
+        assert (rc, out) == (2, "")
+        assert "error" in err
+
     def test_bad_word_is_usage_error(self):
         rc, _, err = run_cli("check-word", "--word", "1x2", "--emit-graph")
         assert rc == 2
@@ -147,12 +160,18 @@ class TestVerify:
         assert out_a == out_b
 
     def test_budget_exit_code(self):
-        rc, out, _ = run_cli(
+        # The budget caps only the fallback search; every non-3-colourable
+        # host here is decided by its odd wheel first.
+        rc, out, err = run_cli(
             "verify", "--board", "cells 2x2; domino H 0 0", "--budget-edges", "5"
         )
-        assert rc == 3
-        summary = json.loads(out.strip().split("\n")[-1])
-        assert summary["budget_exceeded"] == 4
+        assert rc == 0
+        lines = [json.loads(line) for line in out.strip().split("\n")]
+        assert lines[-1]["budget_exceeded"] == 0
+        no_lines = [c for c in lines[:-1] if c["word_representable"] == "no"]
+        assert len(no_lines) == 4
+        assert all(set(c["certificate"]) == {"odd_wheel"} for c in no_lines)
+        assert "routes: colouring=4 odd_wheel=4 search=0 budget=0" in err
 
 
 BASE_ARGV = {

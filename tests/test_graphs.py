@@ -12,6 +12,7 @@ from wordrep.graphs import (
     complete,
     contains_induced,
     cycle,
+    find_odd_wheel,
     induced,
     is_k_colourable,
     nonisomorphic_graphs,
@@ -158,6 +159,43 @@ class TestConstructors:
             cycle(2)
         with pytest.raises(ValueError):
             wheel(2)
+
+
+def chorded(g: Graph, u: int, v: int) -> Graph:
+    return Graph.from_edges(g.n, [*g.edges, (u, v)])
+
+
+class TestFindOddWheel:
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_odd_wheels(self, m):
+        # wheel(m) has its hub at m; the rim starts at 0 and steps to 1 first.
+        assert find_odd_wheel(wheel(m)) == (m, tuple(range(m)))
+
+    def test_rim_order_after_relabelling(self):
+        # Rim 0-1-2-3-4 becomes 4-0-5-1-3 and the hub 5 becomes 2.  The rim
+        # starts at 0 and steps to 4, the lower of its rim neighbours 4 and 5.
+        g = wheel(5).relabel((4, 0, 5, 1, 3, 2))
+        assert find_odd_wheel(g) == (2, (0, 4, 3, 1, 5))
+
+    def test_first_hub_in_index_order(self):
+        # A W5 with hub 0 and rim 1..5 beside a W7 with hub 6 and rim 7..13.
+        w5 = [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)]
+        w7 = [(6, v) for v in range(7, 14)] + [(v, (v - 6) % 7 + 7) for v in range(7, 14)]
+        g = Graph.from_edges(14, w5 + w7)
+        assert find_odd_wheel(g) == (0, (1, 2, 3, 4, 5))
+        # Reversing the labels puts the W7's hub first, at 7.
+        assert find_odd_wheel(g.relabel(tuple(range(13, -1, -1)))) == (
+            7,
+            (0, 1, 2, 3, 4, 5, 6),
+        )
+
+    @pytest.mark.parametrize(
+        "g",
+        [wheel(4), wheel(6), cycle(5), complete(4), chorded(wheel(5), 0, 2)],
+        ids=["W4", "W6", "C5", "K4", "W5+chord"],
+    )
+    def test_none_without_odd_wheel(self, g):
+        assert find_odd_wheel(g) is None
 
 
 class TestIsomorphism:

@@ -18,6 +18,8 @@ from wordrep.graphs import (
 )
 from wordrep.orientations import (
     Orientation,
+    check_odd_wheel,
+    cycle_is_comparability,
     decide_word_representable,
     exists_semi_transitive,
     find_shortcut,
@@ -235,3 +237,59 @@ class TestDecide:
         o = semi_transitive_certificate(complete(3))
         obj = o.to_json_obj()
         assert all(len(entry) == 3 and entry[2] in ("uv", "vu") for entry in obj["edges"])
+
+
+def without_edge(g: Graph, u: int, v: int) -> Graph:
+    return Graph(g.n, tuple(e for e in g.edges if e != (u, v)))
+
+
+class TestOddWheelCertificate:
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_accepts_odd_wheels_in_either_direction(self, m):
+        rim = tuple(range(m))
+        assert check_odd_wheel(wheel(m), m, rim)
+        assert check_odd_wheel(wheel(m), m, rim[::-1])
+        assert check_odd_wheel(wheel(m), m, rim[2:] + rim[:2])
+
+    @pytest.mark.parametrize(
+        "g,hub,rim",
+        [
+            (wheel(6), 6, (0, 1, 2, 3, 4, 5)),
+            (Graph.from_edges(6, [*wheel(5).edges, (0, 2)]), 5, (0, 1, 2, 3, 4)),
+            (without_edge(wheel(5), 0, 5), 5, (0, 1, 2, 3, 4)),
+            (wheel(5), 5, (0, 1, 2, 3, 0)),
+            (wheel(5), 5, (0, 1, 2, 1, 0)),
+            (wheel(5), 5, (5, 1, 2, 3, 4)),
+            (wheel(3), 3, (0, 1, 2)),
+            (wheel(5), 5, (0, 1, 2, 3, 9)),
+            (wheel(5), 5, (0, 1, 2, 3, -1)),
+            (wheel(5), 9, (0, 1, 2, 3, 4)),
+            (wheel(5), 5, (0, 2, 1, 3, 4)),
+            (wheel(5), 5, (0, 1)),
+        ],
+        ids=[
+            "even-rim",
+            "rim-chord",
+            "missing-spoke",
+            "repeated-vertex",
+            "doubled-back",
+            "hub-on-rim",
+            "three-rim",
+            "out-of-range",
+            "negative",
+            "hub-out-of-range",
+            "not-cyclic-order",
+            "two-rim",
+        ],
+    )
+    def test_rejects(self, g, hub, rim):
+        assert not check_odd_wheel(g, hub, rim)
+
+    def test_cycle_comparability(self):
+        assert [m for m in range(3, 10) if cycle_is_comparability(m)] == [3, 4, 6, 8]
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_comparability_agrees_with_search(self, m):
+        # W_m is word-representable iff its hub's neighbourhood C_m is a
+        # comparability graph.
+        assert cycle_is_comparability(m) == (exists_semi_transitive(wheel(m)) is not None)

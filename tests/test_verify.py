@@ -16,6 +16,7 @@ from wordrep.boards import (
 )
 from wordrep.catalog import ClosurePolicy, forbidden_set
 from wordrep.graphs import Colouring
+from wordrep.orientations import check_odd_wheel, exists_semi_transitive
 import wordrep.verify as verify_module
 from wordrep.verify import (
     VerdictCache,
@@ -41,7 +42,9 @@ class TestClassify:
         assert not c.three_colourable
         assert c.word_representable == "no"
         assert c.forbidden_hit == "T1"
-        assert c.certificate is None
+        hub, *rim = c.certificate["odd_wheel"]
+        assert len(rim) == 5
+        assert check_odd_wheel(host.graph, hub, rim)
 
     def test_all_slash_square(self):
         b = Board(2, 2)
@@ -53,11 +56,24 @@ class TestClassify:
         colours = Colouring(tuple(c.certificate["colouring"]))
         assert colours.is_proper_for(host.graph)
 
-    def test_budget_recorded_not_guessed(self):
+    def test_budget_recorded_not_guessed(self, monkeypatch):
+        # Without a wheel the host reaches the budgeted search.
+        monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: None)
         b = parse_board("cells 2x2; domino H 0 0")
         host = triangulate(b, parse_triangulation(b, "//F"))
         c = classify(host, EXTENDED, edge_budget=5)
         assert c.word_representable == "budget"
+        assert c.route == "budget"
+
+    @pytest.mark.parametrize(
+        "found", [None, (0, (1, 2, 3, 4, 5))], ids=["no-wheel", "rejected-wheel"]
+    )
+    def test_search_decides_without_an_accepted_wheel(self, monkeypatch, found):
+        monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: found)
+        b = Board(2, 2)
+        host = triangulate(b, parse_triangulation(b, "/\\//"))
+        c = classify(host, EXTENDED)
+        assert (c.word_representable, c.certificate, c.route) == ("no", None, "search")
 
     def test_cache_reuse_changes_nothing(self):
         b = parse_board("cells 2x2; domino H 0 0")
@@ -70,6 +86,16 @@ class TestClassify:
         ]
         without = [classify(h, EXTENDED, triangulation=lit) for lit, h in hosts]
         assert with_cache == without
+
+    @pytest.mark.parametrize("spec", ["cells 2x3", "cells 2x3; domino H 0 0"])
+    def test_routes_agree_with_full_search(self, spec):
+        b = parse_board(spec)
+        for t in enumerate_triangulations(b):
+            host = triangulate(b, t)
+            c = classify(host, EXTENDED)
+            searched = exists_semi_transitive(host.graph)
+            assert c.word_representable == ("yes" if searched is not None else "no")
+            assert c.route == ("colouring" if c.three_colourable else "odd_wheel")
 
 
 class TestVerifyTheorem:
@@ -87,7 +113,8 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(board)
 
-    def test_budget_makes_sweep_inconclusive(self):
+    def test_budget_makes_sweep_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: None)
         report, _ = verify_theorem(
             parse_board("cells 2x2; domino H 0 0"), edge_budget=5
         )
