@@ -21,8 +21,8 @@ from .catalog import ClosurePolicy, closure_report, forbidden_set, minimal_graph
 from .dot import embedded_to_dot, graph_to_dot
 from .errors import BudgetExceededError
 from .graphs import Graph, chromatic_number, is_k_colourable
-from .orientations import edge_budget_from_env, semi_transitive_certificate
-from .verify import sweep, verify_domino_flip, verify_theorem, write_report
+from .orientations import semi_transitive_certificate
+from .verify import sweep, verify_theorem, write_report
 from .words import format_word, graph_of_word, parse_word, represents
 
 EXIT_OK = 0
@@ -40,10 +40,11 @@ def _policy(value: str) -> ClosurePolicy:
     return ClosurePolicy(value)
 
 
-def _budget(args) -> Optional[int]:
-    if args.budget_edges is not None:
-        return args.budget_edges
-    return edge_budget_from_env()
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def cmd_check_word(args) -> int:
@@ -72,7 +73,7 @@ def cmd_check_word(args) -> int:
 def cmd_decide(args) -> int:
     g = _load_graph(args.graph)
     try:
-        certificate = semi_transitive_certificate(g, _budget(args))
+        certificate = semi_transitive_certificate(g, args.budget_edges)
     except BudgetExceededError as exc:
         print("inconclusive")
         print(f"budget: {exc}", file=sys.stderr)
@@ -144,23 +145,7 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    policy = _policy(args.policy)
-    budget = _budget(args)
-    modes = tuple(int(x) for x in args.domino_modes.split(","))
-    if args.sweep:
-        rows, cols = (int(x) for x in args.sweep.lower().split("x"))
-        report, classifications = sweep(
-            rows, cols, modes, policy, jobs=args.jobs, edge_budget=budget
-        )
-    else:
-        board = parse_board(args.board)
-        report, classifications = verify_theorem(
-            board, policy, jobs=args.jobs, edge_budget=budget
-        )
-        if len(board.dominoes) == 1:
-            flip = verify_domino_flip(board)
-            report.violations.extend(flip.violations)
+def _write_verdicts(report, classifications) -> int:
     write_report(sys.stdout, report, classifications)
     print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     routes = Counter(c.route for c in classifications)
@@ -172,10 +157,15 @@ def cmd_verify(args) -> int:
     return report.exit_code()
 
 
+def cmd_verify(args) -> int:
+    board = parse_board(args.board)
+    return _write_verdicts(*verify_theorem(board, _policy(args.policy), args.jobs))
+
+
 def cmd_sweep(args) -> int:
-    args.sweep = args.size
-    args.board = None
-    return cmd_verify(args)
+    rows, cols = (int(x) for x in args.size.lower().split("x"))
+    modes = tuple(int(x) for x in args.domino_modes.split(","))
+    return _write_verdicts(*sweep(rows, cols, modes, _policy(args.policy), args.jobs))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,11 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def budget(p):
-        p.add_argument("--budget-edges", type=int, default=None)
-
     def jobs(p):
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
 
     def policy(p):
         p.add_argument("--policy", choices=("literal", "extended"), default="extended")
@@ -208,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide word-representability of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--emit-certificate", action="store_true")
-    budget(p)
+    p.add_argument("--budget-edges", type=int, default=None)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("colour", help="chromatic number or k-colourability")
@@ -226,12 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     policy(p)
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("verify", help="verify one board or sweep boards")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--board")
-    group.add_argument("--sweep", metavar="RxC")
-    p.add_argument("--domino-modes", default="0,1")
-    budget(p)
+    p = sub.add_parser("verify", help="verify the theorem on one board")
+    p.add_argument("--board", required=True)
     jobs(p)
     policy(p)
     p.set_defaults(func=cmd_verify)
@@ -239,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep all boards up to RxC")
     p.add_argument("size", metavar="RxC")
     p.add_argument("--domino-modes", default="0,1")
-    budget(p)
     jobs(p)
     policy(p)
     p.set_defaults(func=cmd_sweep)

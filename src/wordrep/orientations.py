@@ -11,7 +11,6 @@ any orientation search.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -25,18 +24,6 @@ MAX_SEARCH_VERTICES = 20
 
 FORWARD = 1  # arc u -> v for the stored edge (u, v), u < v
 BACKWARD = -1
-
-ENV_EDGE_BUDGET = "WORDREP_BUDGET_EDGES"
-
-
-def edge_budget_from_env(default: int = DEFAULT_EDGE_BUDGET) -> int:
-    raw = os.environ.get(ENV_EDGE_BUDGET)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_EDGE_BUDGET} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,6 @@ def classify(
     board_id: str = "",
     triangulation: str = "",
     cache: Optional[VerdictCache] = None,
-    edge_budget: Optional[int] = None,
 ) -> Classification:
     """Fill all three verdicts for one triangulation graph.
 
@@ -196,9 +195,9 @@ def classify(
     proper 3-colouring gives "yes" (its orientation is still re-checked); a
     vertex whose neighbourhood induces a chordless cycle of odd length >= 5,
     found by ``find_odd_wheel`` and accepted by ``check_odd_wheel``, gives
-    "no"; otherwise the exhaustive orientation search decides, within
-    ``edge_budget``.  The
-    forbidden-pattern verdict is computed independently of all three.
+    "no"; otherwise the exhaustive orientation search decides, within its
+    default budget.  The forbidden-pattern verdict is computed independently
+    of all three.
     """
     g = e.graph
     colouring = is_k_colourable(g, 3)
@@ -221,7 +220,7 @@ def classify(
         certificate = {"odd_wheel": (hub, *rim)}
     else:
         try:
-            o = exists_semi_transitive(g, edge_budget)
+            o = exists_semi_transitive(g)
         except BudgetExceededError:
             wr = BUDGET
         else:
@@ -255,7 +254,6 @@ def _classify_board_range(
     board: Board,
     literals: list[str],
     policy: ClosurePolicy,
-    edge_budget: Optional[int],
 ) -> list[Classification]:
     s = forbidden_set(policy)
     cache = VerdictCache()
@@ -270,7 +268,6 @@ def _classify_board_range(
                 board_id=board_id,
                 triangulation=literal,
                 cache=cache,
-                edge_budget=edge_budget,
             )
         )
     return out
@@ -284,21 +281,17 @@ def classify_board(
     board: Board,
     policy: ClosurePolicy = ClosurePolicy.EXTENDED,
     jobs: int = 1,
-    edge_budget: Optional[int] = None,
 ) -> list[Classification]:
     """Classify every triangulation of a board, in choice-vector order."""
     literals = [t.literal() for t in enumerate_triangulations(board)]
     if jobs <= 1 or len(literals) < 4:
-        return _classify_board_range(board, literals, policy, edge_budget)
+        return _classify_board_range(board, literals, policy)
     # Few large chunks: the per-chunk isomorphism cache loses its value when
     # the work is sliced too finely.
     chunk = max(1, (len(literals) + jobs - 1) // jobs)
     ranges = [literals[i : i + chunk] for i in range(0, len(literals), chunk)]
     with get_context("fork").Pool(jobs) as pool:
-        parts = pool.map(
-            _pool_worker,
-            [(board, part, policy, edge_budget) for part in ranges],
-        )
+        parts = pool.map(_pool_worker, [(board, part, policy) for part in ranges])
     return [c for part in parts for c in part]
 
 
@@ -306,15 +299,19 @@ def verify_theorem(
     board: Board,
     policy: ClosurePolicy = ClosurePolicy.EXTENDED,
     jobs: int = 1,
-    edge_budget: Optional[int] = None,
 ) -> tuple[SweepReport, list[Classification]]:
     """Check 3-colourable <=> word-representable (and the forbidden-set lemma)
-    over every triangulation of one board."""
+    over every triangulation of one board.
+
+    On a one-domino board, 3-colourability must also be invariant under
+    swapping the domino's chord pattern; each host is compared with its flip
+    partner among the board's own classifications.
+    """
     if len(board.dominoes) > 1:
         raise ValueError("theorem checks cover boards with at most one domino")
     started = time.monotonic()
     report = SweepReport(policy=policy.value, boards_examined=1)
-    classifications = classify_board(board, policy, jobs, edge_budget)
+    classifications = classify_board(board, policy, jobs)
     report.triangulations_examined = len(classifications)
     report.board_counts[board.spec_string()] = len(classifications)
     for c in classifications:
@@ -347,33 +344,23 @@ def verify_theorem(
             report.embedded_hits += 1
         elif hit_present:
             report.general_only_hits += 1
+    if board.dominoes:
+        by_literal = {c.triangulation: c for c in classifications}
+        for c, t in zip(classifications, enumerate_triangulations(board)):
+            flipped = flip_domino_pattern(t, 0).literal()
+            b = by_literal[flipped].three_colourable
+            if c.three_colourable != b:
+                report.violations.append(
+                    Violation(
+                        c.board,
+                        c.triangulation,
+                        "domino-flip",
+                        f"3-colourable={c.three_colourable} but flipped "
+                        f"({flipped}) gives {b}",
+                    )
+                )
     report.elapsed_seconds = time.monotonic() - started
     return report, classifications
-
-
-def verify_domino_flip(board: Board) -> SweepReport:
-    """3-colourability must be invariant under swapping a domino's chord pattern."""
-    if len(board.dominoes) != 1:
-        raise ValueError("the flip check needs exactly one domino")
-    started = time.monotonic()
-    report = SweepReport(policy="-", boards_examined=1)
-    for t in enumerate_triangulations(board):
-        flipped = flip_domino_pattern(t, 0)
-        a = is_k_colourable(triangulate(board, t).graph, 3) is not None
-        b = is_k_colourable(triangulate(board, flipped).graph, 3) is not None
-        report.triangulations_examined += 1
-        if a != b:
-            report.violations.append(
-                Violation(
-                    board.spec_string(),
-                    t.literal(),
-                    "domino-flip",
-                    f"3-colourable={a} but flipped ({flipped.literal()}) gives {b}",
-                )
-            )
-    report.board_counts[board.spec_string()] = report.triangulations_examined
-    report.elapsed_seconds = time.monotonic() - started
-    return report
 
 
 WHEEL_CONTAINMENTS = {
@@ -390,7 +377,7 @@ WHEEL_CONTAINMENTS = {
 }
 
 
-def verify_catalog(edge_budget: Optional[int] = None) -> SweepReport:
+def verify_catalog() -> SweepReport:
     """Re-derive every stated fact about the catalog patterns, their
     corner-closed forms and odd wheels."""
     from .graphs import contains_induced
@@ -414,7 +401,7 @@ def verify_catalog(edge_budget: Optional[int] = None) -> SweepReport:
         if is_k_colourable(g, 3) is not None:
             fail(name, "expected non-3-colourable")
         try:
-            if exists_semi_transitive(g, edge_budget) is not None:
+            if exists_semi_transitive(g) is not None:
                 fail(name, "expected no semi-transitive orientation")
         except BudgetExceededError:
             report.budget_exceeded += 1
@@ -434,7 +421,7 @@ def verify_catalog(edge_budget: Optional[int] = None) -> SweepReport:
 
     for m in (5, 7, 9):
         try:
-            if exists_semi_transitive(wheel(m), edge_budget) is not None:
+            if exists_semi_transitive(wheel(m)) is not None:
                 fail(f"W{m}", "odd wheel should admit no semi-transitive orientation")
         except BudgetExceededError:
             report.budget_exceeded += 1
@@ -460,8 +447,6 @@ def sweep(
     domino_modes: Iterable[int] = (0, 1),
     policy: ClosurePolicy = ClosurePolicy.EXTENDED,
     jobs: int = 1,
-    edge_budget: Optional[int] = None,
-    check_flip: bool = True,
 ) -> tuple[SweepReport, list[Classification]]:
     """Drive the theorem check across all boards up to the given cell bounds.
 
@@ -483,14 +468,9 @@ def sweep(
                 Board(rows, cols, (d,)) for d in domino_placements(rows, cols, Axis.H)
             )
         for board in boards:
-            sub, cls = verify_theorem(board, policy, jobs, edge_budget)
+            sub, cls = verify_theorem(board, policy, jobs)
             report.merge(sub)
             classifications.extend(cls)
-            if check_flip and len(board.dominoes) == 1:
-                flip_report = verify_domino_flip(board)
-                report.violations.extend(flip_report.violations)
-                report.elapsed_seconds += flip_report.elapsed_seconds
-    # boards_examined counted per verify_theorem call already; flip checks reuse them
     return report, classifications
 
 
@@ -498,7 +478,6 @@ def verify_rotation_reduction(
     board: Board,
     policy: ClosurePolicy = ClosurePolicy.EXTENDED,
     jobs: int = 1,
-    edge_budget: Optional[int] = None,
 ) -> tuple[SweepReport, SweepReport]:
     """Directly verify a vertical-domino board and its quarter-turned twin.
 
@@ -508,13 +487,13 @@ def verify_rotation_reduction(
     """
     if len(board.dominoes) != 1 or board.dominoes[0].axis is not Axis.V:
         raise ValueError("rotation-reduction check expects one vertical domino")
-    direct, direct_cls = verify_theorem(board, policy, jobs, edge_budget)
+    direct, direct_cls = verify_theorem(board, policy, jobs)
     rotated_pairs = [
         transform_triangulation(board, t, Symmetry.ROT90)
         for t in enumerate_triangulations(board)
     ]
     rot_board = rotated_pairs[0][0]
-    rotated, rotated_cls_unordered = verify_theorem(rot_board, policy, jobs, edge_budget)
+    rotated, rotated_cls_unordered = verify_theorem(rot_board, policy, jobs)
     by_literal = {c.triangulation: c for c in rotated_cls_unordered}
     for c, (nb, nt) in zip(direct_cls, rotated_pairs):
         twin = by_literal[nt.literal()]

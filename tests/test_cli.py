@@ -10,12 +10,11 @@ from wordrep.cli import main
 from wordrep.graphs import cycle, wheel
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv):
     result = subprocess.run(
         [sys.executable, "-m", "wordrep.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -85,13 +84,6 @@ class TestDecide:
         assert rc == 3
         assert out.strip() == "inconclusive"
 
-    def test_env_budget_override(self, graph_file, monkeypatch):
-        import os
-
-        env = dict(os.environ, WORDREP_BUDGET_EDGES="3")
-        rc, out, _ = run_cli("decide", "--graph", graph_file(wheel(5)), env=env)
-        assert rc == 3
-
 
 class TestColour:
     def test_chromatic_number(self, graph_file):
@@ -148,23 +140,29 @@ class TestVerify:
     def test_sweep_deterministic_across_jobs(self):
         outputs = []
         for jobs in ("1", "2"):
-            rc, out, _ = run_cli("verify", "--sweep", "2x2", "--jobs", jobs)
+            rc, out, _ = run_cli("sweep", "2x2", "--jobs", jobs)
             assert rc == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
-    def test_sweep_command_alias(self):
-        rc_a, out_a, _ = run_cli("sweep", "2x2", "--domino-modes", "0")
-        rc_b, out_b, _ = run_cli("verify", "--sweep", "2x2", "--domino-modes", "0")
-        assert rc_a == rc_b == 0
-        assert out_a == out_b
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "2x2", "--jobs", "0"),
+            ("sweep", "2x2", "--jobs", "-3"),
+            ("verify", "--board", "cells 1x1", "--jobs", "0"),
+        ],
+    )
+    def test_jobs_below_one_is_usage_error(self, argv, capsys):
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --jobs: must be at least 1" in err
 
     def test_budget_exit_code(self):
-        # The budget caps only the fallback search; every non-3-colourable
-        # host here is decided by its odd wheel first.
-        rc, out, err = run_cli(
-            "verify", "--board", "cells 2x2; domino H 0 0", "--budget-edges", "5"
-        )
+        # No host reaches the budgeted search: every non-3-colourable host
+        # here is decided by its odd wheel first.
+        rc, out, err = run_cli("verify", "--board", "cells 2x2; domino H 0 0")
         assert rc == 0
         lines = [json.loads(line) for line in out.strip().split("\n")]
         assert lines[-1]["budget_exceeded"] == 0
@@ -184,7 +182,13 @@ BASE_ARGV = {
     "sweep": ("sweep", "1x1"),
 }
 
-FLAG_VALUES = {"--format": "json", "--jobs": "1", "--budget-edges": "5"}
+FLAG_VALUES = {
+    "--format": "json",
+    "--jobs": "1",
+    "--budget-edges": "5",
+    "--sweep": "2x2",
+    "--domino-modes": "0",
+}
 
 UNREAD_FLAGS = [
     ("check-word", "--jobs"),
@@ -201,7 +205,11 @@ UNREAD_FLAGS = [
     ("catalog", "--jobs"),
     ("catalog", "--budget-edges"),
     ("verify", "--format"),
+    ("verify", "--sweep"),
+    ("verify", "--domino-modes"),
+    ("verify", "--budget-edges"),
     ("sweep", "--format"),
+    ("sweep", "--budget-edges"),
 ]
 
 

@@ -15,8 +15,15 @@ from wordrep.boards import (
     triangulate,
 )
 from wordrep.catalog import ClosurePolicy, forbidden_set
+from wordrep.cli import main
 from wordrep.graphs import Colouring
-from wordrep.orientations import check_odd_wheel, exists_semi_transitive
+import wordrep.orientations as orientations_module
+from wordrep.orientations import (
+    DEFAULT_EDGE_BUDGET,
+    MAX_SEARCH_VERTICES,
+    check_odd_wheel,
+    exists_semi_transitive,
+)
 import wordrep.verify as verify_module
 from wordrep.verify import (
     VerdictCache,
@@ -25,7 +32,6 @@ from wordrep.verify import (
     sweep,
     sweep_boards,
     verify_catalog,
-    verify_domino_flip,
     verify_rotation_reduction,
     verify_theorem,
     write_report,
@@ -59,11 +65,29 @@ class TestClassify:
     def test_budget_recorded_not_guessed(self, monkeypatch):
         # Without a wheel the host reaches the budgeted search.
         monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: None)
+        monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         b = parse_board("cells 2x2; domino H 0 0")
         host = triangulate(b, parse_triangulation(b, "//F"))
-        c = classify(host, EXTENDED, edge_budget=5)
+        c = classify(host, EXTENDED)
         assert c.word_representable == "budget"
         assert c.route == "budget"
+
+    def test_default_edge_budget_cannot_bind(self):
+        # Every host within the search's vertex limit has 3RC + R + C edges
+        # (a domino keeps the count), so at most 43, on 3x4 or 4x3 cells.
+        most = 0
+        for rows in range(1, MAX_SEARCH_VERTICES):
+            for cols in range(1, MAX_SEARCH_VERTICES):
+                if (rows + 1) * (cols + 1) > MAX_SEARCH_VERTICES:
+                    continue
+                boards = [Board(rows, cols)]
+                if cols >= 2:
+                    boards.append(Board(rows, cols, (Domino(0, 0, Axis.H),)))
+                for b in boards:
+                    host = triangulate(b, next(enumerate_triangulations(b)))
+                    assert host.graph.edge_count == 3 * rows * cols + rows + cols
+                    most = max(most, host.graph.edge_count)
+        assert most == 43 < DEFAULT_EDGE_BUDGET
 
     @pytest.mark.parametrize(
         "found", [None, (0, (1, 2, 3, 4, 5))], ids=["no-wheel", "rejected-wheel"]
@@ -115,9 +139,8 @@ class TestVerifyTheorem:
 
     def test_budget_makes_sweep_inconclusive(self, monkeypatch):
         monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: None)
-        report, _ = verify_theorem(
-            parse_board("cells 2x2; domino H 0 0"), edge_budget=5
-        )
+        monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
+        report, _ = verify_theorem(parse_board("cells 2x2; domino H 0 0"))
         assert report.budget_exceeded == 4
         assert not report.violations
         assert report.exit_code() == 3
@@ -154,11 +177,31 @@ class TestVerifyTheorem:
         assert not lit.violations
         assert len(lit.lemma_mismatches) == 3
 
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_three_by_two_domino_boards(self, row):
+        # sweep_boards keeps 2x3 for its quarter-turned twin 3x2, and sweeps
+        # place only H dominoes, so no sweep reaches these 3 boards.
+        report, cls = verify_theorem(parse_board(f"cells 3x2; domino H {row} 0"))
+        assert report.passed
+        assert report.triangulations_examined == len(cls) == 32
+
     def test_jobs_do_not_change_output(self):
         board = parse_board("cells 2x2; domino H 1 0")
         serial = classify_board(board, jobs=1)
         parallel = classify_board(board, jobs=2)
         assert serial == parallel
+
+
+def miscolour(monkeypatch, board: Board, literal: str):
+    """Make ``wordrep.verify.is_k_colourable`` call one host of ``board``
+    not 3-colourable."""
+    target = triangulate(board, parse_triangulation(board, literal)).graph
+    real = verify_module.is_k_colourable
+
+    def wrong(g, k):
+        return None if g == target else real(g, k)
+
+    monkeypatch.setattr(verify_module, "is_k_colourable", wrong)
 
 
 class TestFlip:
@@ -168,12 +211,55 @@ class TestFlip:
             "cells 2x2; domino H 0 0",
             "cells 2x2; domino H 1 0",
         ):
-            report = verify_domino_flip(parse_board(spec))
+            report, _ = verify_theorem(parse_board(spec))
             assert report.passed
 
-    def test_needs_exactly_one_domino(self):
+    def test_needs_exactly_one_domino(self, monkeypatch):
+        # A bare board has no flip partner, so a mis-coloured host there
+        # breaks the equivalence but gives no domino-flip violation.
+        board = Board(2, 2)
+        miscolour(monkeypatch, board, "////")
+        report, _ = verify_theorem(board)
+        assert report.violations
+        assert not [v for v in report.violations if v.kind == "domino-flip"]
         with pytest.raises(ValueError):
-            verify_domino_flip(Board(2, 2))
+            verify_theorem(
+                Board(2, 3, (Domino(0, 0, Axis.H), Domino(1, 0, Axis.H)), exploratory=True)
+            )
+
+    def test_flip_failure_is_reported(self, monkeypatch, capsys):
+        board = parse_board("cells 2x2; domino H 0 0")
+        colourable = [
+            c.triangulation for c in verify_theorem(board)[1] if c.three_colourable
+        ]
+        literal = colourable[0]
+        partner = literal[:-1] + {"F": "R", "R": "F"}[literal[-1]]
+        assert partner in colourable
+        miscolour(monkeypatch, board, literal)
+
+        report, _ = verify_theorem(board)
+        flips = [v.to_json_obj() for v in report.violations if v.kind == "domino-flip"]
+        assert flips == [
+            {
+                "board": "cells 2x2; domino H 0 0",
+                "triangulation": t,
+                "kind": "domino-flip",
+                "detail": f"3-colourable={a} but flipped ({f}) gives {b}",
+            }
+            for t, a, f, b in [
+                (literal, False, partner, True),
+                (partner, True, literal, False),
+            ]
+        ]
+        assert report.exit_code() == 1
+        assert main(["verify", "--board", "cells 2x2; domino H 0 0"]) == 1
+        capsys.readouterr()
+
+        swept, _ = sweep(2, 2, (1,))
+        assert [
+            v.to_json_obj() for v in swept.violations if v.kind == "domino-flip"
+        ] == flips
+        assert swept.exit_code() == 1
 
 
 class TestCatalogVerification:
