@@ -379,46 +379,28 @@ def transform_triangulation(
 ) -> tuple[Board, Triangulation]:
     """Carry a triangulation along a board symmetry.
 
-    Diagonals and chords are mapped pointwise and re-identified against the
-    transformed board, so no per-symmetry case table is needed.
+    The image is read off the moved graph: each cell of the moved board takes
+    the diagonal whose endpoints are adjacent there, each domino the pattern
+    whose three chords are edges, so no per-symmetry case table is needed.
     """
+    e = transform(triangulate(board, t), s)
     new_board = transform_board(board, s)
-    max_r, max_c = board.vertex_rows - 1, board.vertex_cols - 1
 
-    def move(p: Coord) -> Coord:
-        return _apply_symmetry(s, p, max_r, max_c)
-
-    new_cells = new_board.unit_cells()
-    diag_for: dict[Coord, Diag] = {}
-    for cell, diag in zip(board.unit_cells(), t.cell_diag):
-        a, b = (move(p) for p in _diag_endpoints(cell, diag))
-        target = (min(a[0], b[0]), min(a[1], b[1]))
-        for candidate in (Diag.SLASH, Diag.BACKSLASH):
-            if frozenset(_diag_endpoints(target, candidate)) == frozenset((a, b)):
-                diag_for[target] = candidate
-                break
-        else:
-            raise AssertionError("transformed diagonal does not fit its cell")
-
-    # Dominoes were sorted during board transformation; recover the pattern of
-    # each by matching transformed chord sets.
-    pattern_for: dict[Domino, DominoPattern] = {}
-    for domino, pattern in zip(board.dominoes, t.domino_pattern):
-        moved_cells = [ _apply_symmetry(s, cell, board.cell_rows - 1, board.cell_cols - 1)
-                        for cell in domino.cells() ]
-        first = min(moved_cells)
-        axis = Axis.H if moved_cells[0][0] == moved_cells[1][0] else Axis.V
-        new_domino = Domino(first[0], first[1], axis)
-        moved_chords = {frozenset((move(a), move(b))) for a, b in domino.chords(pattern)}
-        for candidate in (DominoPattern.FALL, DominoPattern.RISE):
-            if {frozenset(ch) for ch in new_domino.chords(candidate)} == moved_chords:
-                pattern_for[new_domino] = candidate
-                break
-        else:
-            raise AssertionError("transformed chords match neither pattern")
+    def is_edge(a: Coord, b: Coord) -> bool:
+        return e.graph.has_edge(new_board.vertex_id(a), new_board.vertex_id(b))
 
     new_t = Triangulation(
-        tuple(diag_for[cell] for cell in new_cells),
-        tuple(pattern_for[d] for d in new_board.dominoes),
+        tuple(
+            Diag.SLASH if is_edge(*_diag_endpoints(cell, Diag.SLASH)) else Diag.BACKSLASH
+            for cell in new_board.unit_cells()
+        ),
+        tuple(
+            DominoPattern.FALL
+            if all(is_edge(a, b) for a, b in d.chords(DominoPattern.FALL))
+            else DominoPattern.RISE
+            for d in new_board.dominoes
+        ),
     )
+    if triangulate(new_board, new_t) != e:
+        raise AssertionError("transported triangulation does not rebuild the moved graph")
     return new_board, new_t

@@ -15,8 +15,9 @@ the corner cell's diagonal either runs through it (the induced subgraph on
 the pattern's vertices is the pattern itself) or joins the corner's two
 neighbours (the induced subgraph is the *corner-closed form*: the pattern
 plus that one edge).  An A pattern is present when either form is induced.
-The corner-closed forms are derived from the coordinates; only those of A1,
-A3 and A8 contain no base pattern, so only they add obstructions.
+Each pattern is drawn in ``DRAWINGS`` and built with ``boards.triangulate``;
+a corner-closed form is the other diagonal of the cut corner's cell.  Only
+those of A1, A3 and A8 contain no base pattern, so only they add obstructions.
 """
 
 from __future__ import annotations
@@ -26,75 +27,86 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .boards import (
     Axis,
+    Board,
     Coord,
     Diag,
     Domino,
     DominoPattern,
     EmbeddedGraph,
     Symmetry,
+    Triangulation,
     transform,
+    triangulate,
 )
-from .graphs import Graph, contains_induced, is_k_colourable
+from .graphs import contains_induced, induced, is_k_colourable
+
+S, B = Diag.SLASH, Diag.BACKSLASH
+F, R = DominoPattern.FALL, DominoPattern.RISE
 
 
-def build_embedded(
-    cell_rows: int,
-    cell_cols: int,
-    missing: tuple[Coord, ...] = (),
-    dominoes: tuple[tuple[Domino, DominoPattern], ...] = (),
-    cells: dict[Coord, Diag] | None = None,
-) -> EmbeddedGraph:
-    """Assemble a triangulated grid patch, possibly missing corner vertices.
+class Drawing(NamedTuple):
+    """A catalog pattern as drawn on a patch of cells."""
 
-    ``missing`` removes vertices (and every cell touching them); remaining
-    uncovered cells must each get a diagonal in ``cells``.
+    cell_rows: int
+    cell_cols: int
+    domino: Optional[tuple[Domino, DominoPattern]]
+    diagonals: dict[Coord, Diag]
+    cut_corner: Optional[Coord]  # a bounding-box vertex left out of the pattern
+
+
+DRAWINGS: dict[str, Drawing] = {
+    "T1": Drawing(2, 2, None, {(0, 0): S, (0, 1): B, (1, 0): S, (1, 1): S}, None),
+    "T2": Drawing(2, 2, None, {(0, 0): B, (0, 1): S, (1, 0): B, (1, 1): B}, None),
+    "A1": Drawing(2, 3, (Domino(1, 0, Axis.H), R), {(0, 1): B, (0, 2): S, (1, 2): B}, (0, 0)),
+    "A2": Drawing(2, 3, (Domino(1, 0, Axis.H), R), {(0, 1): S, (0, 2): B, (1, 2): B}, (0, 0)),
+    "A3": Drawing(2, 3, (Domino(1, 0, Axis.H), F), {(0, 1): B, (0, 2): S, (1, 2): B}, (0, 0)),
+    "A4": Drawing(2, 3, (Domino(1, 0, Axis.H), F), {(0, 1): S, (0, 2): B, (1, 2): B}, (0, 0)),
+    "A5": Drawing(2, 3, (Domino(0, 0, Axis.H), R), {(0, 2): B, (1, 1): B, (1, 2): B}, (2, 0)),
+    "A6": Drawing(2, 3, (Domino(0, 0, Axis.H), F), {(0, 2): B, (1, 1): B, (1, 2): B}, (2, 0)),
+    "A7": Drawing(2, 3, (Domino(0, 1, Axis.H), R), {(0, 0): S, (1, 0): B, (1, 1): B}, (2, 3)),
+    "A8": Drawing(2, 3, (Domino(0, 1, Axis.H), F), {(0, 0): S, (1, 0): B, (1, 1): B}, (2, 3)),
+    "B1": Drawing(2, 2, (Domino(1, 0, Axis.H), F), {(0, 0): S, (0, 1): S}, None),
+    "B2": Drawing(2, 2, (Domino(1, 0, Axis.H), F), {(0, 0): B, (0, 1): B}, None),
+}
+
+
+def readings(d: Drawing) -> tuple[EmbeddedGraph, ...]:
+    """The pattern a drawing shows, then (if a corner is cut) its corner-closed form.
+
+    The drawing must name exactly the cells that need a diagonal: every cell
+    outside the domino except the cut corner's.  A cut patch is triangulated
+    in full with each diagonal in the corner's cell and the corner deleted;
+    the reading with fewer edges (the diagonal ran through the corner) is the
+    pattern.
     """
-    cells = dict(cells or {})
-    present = [
-        (r, c)
-        for r in range(cell_rows + 1)
-        for c in range(cell_cols + 1)
-        if (r, c) not in missing
-    ]
-    present_set = set(present)
-    index = {rc: i for i, rc in enumerate(present)}
+    board = Board(d.cell_rows, d.cell_cols, (d.domino[0],) if d.domino else ())
+    patterns = (d.domino[1],) if d.domino else ()
+    need = set(board.unit_cells())
+    if d.cut_corner is not None:
+        r, c = d.cut_corner
+        corner_cell = (min(r, d.cell_rows - 1), min(c, d.cell_cols - 1))
+        need.discard(corner_cell)
+    if set(d.diagonals) != need:
+        raise ValueError(f"cells needing a diagonal: {sorted(need)}, got {sorted(d.diagonals)}")
 
-    covered = {cell for d, _ in dominoes for cell in d.cells()}
-    expected_cells = set()
-    for r in range(cell_rows):
-        for c in range(cell_cols):
-            corners = {(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)}
-            if corners <= present_set and (r, c) not in covered:
-                expected_cells.add((r, c))
-    if expected_cells != set(cells):
-        raise ValueError(
-            f"cells needing a diagonal: {sorted(expected_cells)}, got {sorted(cells)}"
+    def build(diagonals: dict[Coord, Diag]) -> EmbeddedGraph:
+        cells = tuple(diagonals[cell] for cell in board.unit_cells())
+        return triangulate(board, Triangulation(cells, patterns))
+
+    if d.cut_corner is None:
+        return (build(d.diagonals),)
+    forms = []
+    for diag in (S, B):
+        full = build({**d.diagonals, corner_cell: diag})
+        keep = [v for v, rc in enumerate(full.coords) if rc != d.cut_corner]
+        forms.append(
+            EmbeddedGraph(induced(full.graph, keep), tuple(full.coords[v] for v in keep))
         )
-
-    skipped = {frozenset(d.interior_edge()) for d, _ in dominoes}
-    coord_edges: list[tuple[Coord, Coord]] = []
-    for (r, c) in present:
-        for nxt in ((r, c + 1), (r + 1, c)):
-            if nxt in present_set and frozenset(((r, c), nxt)) not in skipped:
-                coord_edges.append(((r, c), nxt))
-    for cell, diag in cells.items():
-        r, c = cell
-        if diag is Diag.SLASH:
-            coord_edges.append(((r + 1, c), (r, c + 1)))
-        else:
-            coord_edges.append(((r, c), (r + 1, c + 1)))
-    for d, pattern in dominoes:
-        for a, b in d.chords(pattern):
-            if a not in present_set or b not in present_set:
-                raise ValueError(f"domino {d} touches a missing vertex")
-            coord_edges.append((a, b))
-
-    g = Graph.from_edges(len(present), [(index[a], index[b]) for a, b in coord_edges])
-    return EmbeddedGraph(g, tuple(present))
+    return tuple(sorted(forms, key=lambda e: e.graph.edge_count))
 
 
 @dataclass(frozen=True)
@@ -105,62 +117,21 @@ class PatternGraph:
     provenance: str
 
 
-S, B = Diag.SLASH, Diag.BACKSLASH
-F, R = DominoPattern.FALL, DominoPattern.RISE
-
-
-def _square(name: str, diags: dict[Coord, Diag]) -> PatternGraph:
-    return PatternGraph(
-        name,
-        build_embedded(2, 2, cells=diags),
-        has_domino=False,
-        provenance="minimal catalog: square 2x2-cell triangulations",
-    )
-
-
-def _domino_pattern(
-    name: str,
-    cell_rows: int,
-    cell_cols: int,
-    missing: tuple[Coord, ...],
-    domino: Domino,
-    pattern: DominoPattern,
-    diags: dict[Coord, Diag],
-) -> PatternGraph:
-    return PatternGraph(
-        name,
-        build_embedded(cell_rows, cell_cols, missing, ((domino, pattern),), diags),
-        has_domino=True,
-        provenance="minimal catalog: single horizontal-domino triangulations",
-    )
-
-
 @lru_cache(maxsize=1)
 def minimal_graphs() -> tuple[PatternGraph, ...]:
     """The twelve catalog patterns; loading re-validates the fixture checksums."""
-    patterns = (
-        _square("T1", {(0, 0): S, (0, 1): B, (1, 0): S, (1, 1): S}),
-        _square("T2", {(0, 0): B, (0, 1): S, (1, 0): B, (1, 1): B}),
-        _domino_pattern("A1", 2, 3, ((0, 0),), Domino(1, 0, Axis.H), R,
-                        {(0, 1): B, (0, 2): S, (1, 2): B}),
-        _domino_pattern("A2", 2, 3, ((0, 0),), Domino(1, 0, Axis.H), R,
-                        {(0, 1): S, (0, 2): B, (1, 2): B}),
-        _domino_pattern("A3", 2, 3, ((0, 0),), Domino(1, 0, Axis.H), F,
-                        {(0, 1): B, (0, 2): S, (1, 2): B}),
-        _domino_pattern("A4", 2, 3, ((0, 0),), Domino(1, 0, Axis.H), F,
-                        {(0, 1): S, (0, 2): B, (1, 2): B}),
-        _domino_pattern("A5", 2, 3, ((2, 0),), Domino(0, 0, Axis.H), R,
-                        {(0, 2): B, (1, 1): B, (1, 2): B}),
-        _domino_pattern("A6", 2, 3, ((2, 0),), Domino(0, 0, Axis.H), F,
-                        {(0, 2): B, (1, 1): B, (1, 2): B}),
-        _domino_pattern("A7", 2, 3, ((2, 3),), Domino(0, 1, Axis.H), R,
-                        {(0, 0): S, (1, 0): B, (1, 1): B}),
-        _domino_pattern("A8", 2, 3, ((2, 3),), Domino(0, 1, Axis.H), F,
-                        {(0, 0): S, (1, 0): B, (1, 1): B}),
-        _domino_pattern("B1", 2, 2, (), Domino(1, 0, Axis.H), F,
-                        {(0, 0): S, (0, 1): S}),
-        _domino_pattern("B2", 2, 2, (), Domino(1, 0, Axis.H), F,
-                        {(0, 0): B, (0, 1): B}),
+    patterns = tuple(
+        PatternGraph(
+            name,
+            readings(drawing)[0],
+            has_domino=drawing.domino is not None,
+            provenance=(
+                "minimal catalog: single horizontal-domino triangulations"
+                if drawing.domino is not None
+                else "minimal catalog: square 2x2-cell triangulations"
+            ),
+        )
+        for name, drawing in DRAWINGS.items()
     )
     _validate(patterns)
     return patterns
@@ -247,12 +218,6 @@ class ForbiddenMember:
 class ForbiddenSet:
     policy: ClosurePolicy
     members: tuple[ForbiddenMember, ...]
-
-    def footprint_count(self) -> int:
-        return len(self.members)
-
-    def base_patterns(self) -> tuple[PatternGraph, ...]:
-        return minimal_graphs()
 
 
 @lru_cache(maxsize=None)
@@ -355,37 +320,17 @@ class ForbiddenHit:
     via_embedded: bool
 
 
-def _cut_corner_pair(e: EmbeddedGraph) -> Optional[tuple[int, int]]:
-    """The two neighbours of the cut bounding-box corner, or None if uncut.
-
-    They are the corner cell's vertices next to the cut corner, so the cell
-    diagonal that avoids the corner joins them.
-    """
-    max_r = max(r for r, _ in e.coords)
-    max_c = max(c for _, c in e.coords)
-    index = e.coord_index()
-    for r, c in ((0, 0), (0, max_c), (max_r, 0), (max_r, max_c)):
-        if (r, c) not in index:
-            dr = 1 if r == 0 else -1
-            dc = 1 if c == 0 else -1
-            return index[(r, c + dc)], index[(r + dr, c)]
-    return None
-
-
 @lru_cache(maxsize=1)
 def corner_closed_forms() -> tuple[ForbiddenMember, ...]:
-    """Each cut pattern with its corner cell's diagonal avoiding the cut corner.
+    """Each cut pattern with its corner cell's other diagonal, avoiding the cut corner.
 
     Named ``A1'`` etc.; ``base_name`` is the pattern they are a reading of.
     """
     forms = []
-    for p in minimal_graphs():
-        pair = _cut_corner_pair(p.embedded)
-        if pair is None:
-            continue
-        g = p.embedded.graph
-        closed = EmbeddedGraph(Graph.from_edges(g.n, g.edges + (pair,)), p.embedded.coords)
-        forms.append(ForbiddenMember(f"{p.name}'", p.name, Symmetry.IDENTITY, closed))
+    for name, drawing in DRAWINGS.items():
+        if drawing.cut_corner is not None:
+            closed = readings(drawing)[1]
+            forms.append(ForbiddenMember(f"{name}'", name, Symmetry.IDENTITY, closed))
     return tuple(forms)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 from typing import Optional
@@ -45,6 +46,15 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _board_size(value: str) -> tuple[int, int]:
+    m = re.fullmatch(r"\s*(\d+)\s*[xX]\s*(\d+)\s*", value)
+    if m is None or min(int(m.group(1)), int(m.group(2))) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be RxC with R and C at least 1, got {value!r}"
+        )
+    return int(m.group(1)), int(m.group(2))
 
 
 def cmd_check_word(args) -> int:
@@ -163,7 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows, cols = (int(x) for x in args.size.lower().split("x"))
+    rows, cols = args.size
     modes = tuple(int(x) for x in args.domino_modes.split(","))
     return _write_verdicts(*sweep(rows, cols, modes, _policy(args.policy), args.jobs))
 
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="sweep all boards up to RxC")
-    p.add_argument("size", metavar="RxC")
+    p.add_argument("size", metavar="RxC", type=_board_size)
     p.add_argument("--domino-modes", default="0,1")
     jobs(p)
     policy(p)

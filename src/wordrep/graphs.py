@@ -97,10 +97,6 @@ class Colouring:
             self.colours[u] != self.colours[v] for u, v in g.edges
         )
 
-    @property
-    def colour_count(self) -> int:
-        return max(self.colours, default=0)
-
 
 def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
     """First proper k-colouring in lexicographic order, or None.
@@ -263,8 +259,6 @@ def _induced_search(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
 
 def contains_induced(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
     """Injective map m with pattern-edge(u,v) iff host-edge(m(u),m(v)), or None."""
-    if host.n > MAX_VERTICES:
-        raise GraphSizeError(f"host has {host.n} > {MAX_VERTICES} vertices")
     if pattern.n > MAX_PATTERN_VERTICES:
         raise GraphSizeError(
             f"pattern has {pattern.n} > {MAX_PATTERN_VERTICES} vertices"

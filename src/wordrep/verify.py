@@ -452,25 +452,30 @@ def sweep(
 
     Mode 0 covers the bare board; mode 1 adds every horizontal-domino
     placement (vertical placements are images of horizontal ones under a
-    quarter turn, which the board symmetry tests guard separately).
+    quarter turn, which the board symmetry tests guard separately).  A sweep
+    that would examine no board raises ``ValueError`` rather than pass.
     """
     modes = set(domino_modes)
     if not modes <= {0, 1}:
         raise ValueError("domino modes are 0 (no domino) and 1 (single domino)")
-    report = SweepReport(policy=policy.value)
-    classifications: list[Classification] = []
+    boards: list[Board] = []
     for rows, cols in sweep_boards(max_rows, max_cols):
-        boards: list[Board] = []
         if 0 in modes:
             boards.append(Board(rows, cols))
         if 1 in modes:
             boards.extend(
                 Board(rows, cols, (d,)) for d in domino_placements(rows, cols, Axis.H)
             )
-        for board in boards:
-            sub, cls = verify_theorem(board, policy, jobs)
-            report.merge(sub)
-            classifications.extend(cls)
+    if not boards:
+        raise ValueError(
+            f"no board to sweep up to {max_rows}x{max_cols} with domino modes {sorted(modes)}"
+        )
+    report = SweepReport(policy=policy.value)
+    classifications: list[Classification] = []
+    for board in boards:
+        sub, cls = verify_theorem(board, policy, jobs)
+        report.merge(sub)
+        classifications.extend(cls)
     return report, classifications
 
 

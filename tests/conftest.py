@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import wordrep
 from wordrep.graphs import Graph
+
+# CLI tests run `python -m wordrep.cli` in a child process; point it at the
+# package this suite imports, also when that package is not installed.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(wordrep.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 ACCEPTANCE_LINES: list[str] = []
 

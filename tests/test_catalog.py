@@ -3,27 +3,25 @@ from __future__ import annotations
 import pytest
 
 from wordrep.boards import (
-    Axis,
     Board,
-    Diag,
-    Domino,
-    DominoPattern,
     enumerate_triangulations,
     parse_board,
     parse_triangulation,
     triangulate,
 )
 from wordrep.catalog import (
+    DRAWINGS,
     ClosurePolicy,
-    build_embedded,
     closure_report,
     corner_closed_forms,
     corner_closed_obstructions,
     find_forbidden,
     forbidden_set,
     minimal_graphs,
+    readings,
 )
 from wordrep.graphs import (
+    Graph,
     are_isomorphic,
     chromatic_number,
     contains_induced,
@@ -80,9 +78,11 @@ class TestPatterns:
             cat.minimal_graphs.cache_clear()
             assert len(cat.minimal_graphs()) == 12
 
-    def test_builder_demands_every_cell(self):
-        with pytest.raises(ValueError):
-            build_embedded(1, 1, cells={})
+    def test_drawing_must_name_every_cell(self):
+        t1 = DRAWINGS["T1"]
+        missing = {cell: d for cell, d in t1.diagonals.items() if cell != (1, 1)}
+        with pytest.raises(ValueError, match="cells needing a diagonal"):
+            readings(t1._replace(diagonals=missing))
 
 
 class TestWheelContainments:
@@ -108,8 +108,8 @@ class TestClosures:
     def test_footprint_counts(self):
         lit = forbidden_set(ClosurePolicy.LITERAL)
         ext = forbidden_set(ClosurePolicy.EXTENDED)
-        assert lit.footprint_count() == 28
-        assert ext.footprint_count() == 48
+        assert len(lit.members) == 28
+        assert len(ext.members) == 48
         lit_keys = {(m.embedded.coords, m.embedded.graph.edges) for m in lit.members}
         ext_keys = {(m.embedded.coords, m.embedded.graph.edges) for m in ext.members}
         assert lit_keys <= ext_keys
@@ -187,42 +187,22 @@ class TestFindForbidden:
         assert not lit.via_embedded
 
 
-S, B = Diag.SLASH, Diag.BACKSLASH
-F, R = DominoPattern.FALL, DominoPattern.RISE
-# The A patterns as drawn: cut corner, domino, chord pattern, cell diagonals.
-A_DRAWINGS = {
-    "A1": ((0, 0), Domino(1, 0, Axis.H), R, {(0, 1): B, (0, 2): S, (1, 2): B}),
-    "A2": ((0, 0), Domino(1, 0, Axis.H), R, {(0, 1): S, (0, 2): B, (1, 2): B}),
-    "A3": ((0, 0), Domino(1, 0, Axis.H), F, {(0, 1): B, (0, 2): S, (1, 2): B}),
-    "A4": ((0, 0), Domino(1, 0, Axis.H), F, {(0, 1): S, (0, 2): B, (1, 2): B}),
-    "A5": ((2, 0), Domino(0, 0, Axis.H), R, {(0, 2): B, (1, 1): B, (1, 2): B}),
-    "A6": ((2, 0), Domino(0, 0, Axis.H), F, {(0, 2): B, (1, 1): B, (1, 2): B}),
-    "A7": ((2, 3), Domino(0, 1, Axis.H), R, {(0, 0): S, (1, 0): B, (1, 1): B}),
-    "A8": ((2, 3), Domino(0, 1, Axis.H), F, {(0, 0): S, (1, 0): B, (1, 1): B}),
-}
 CLOSED = {m.base_name: m for m in corner_closed_forms()}
 
 
 class TestCornerClosedForms:
-    @pytest.mark.parametrize("name", sorted(A_DRAWINGS))
+    @pytest.mark.parametrize("name", [f"A{i}" for i in range(1, 9)])
     def test_forms_are_the_two_readings_of_the_corner_cell(self, name):
-        # Put the cut corner back and give its cell either diagonal; deleting
-        # the corner again leaves the base pattern or its corner-closed form.
-        corner, domino, pattern, diags = A_DRAWINGS[name]
-        cell = (min(corner[0], 1), min(corner[1], 2))
-        readings = {}
-        for diag in (S, B):
-            full = build_embedded(2, 3, (), ((domino, pattern),), {**diags, cell: diag})
-            index = full.coord_index()
-            cut = index[corner]
-            opposite = (2 * cell[0] + 1 - corner[0], 2 * cell[1] + 1 - corner[1])
-            through_corner = full.graph.has_edge(cut, index[opposite])
-            rest = [v for v in range(full.graph.n) if v != cut]
-            readings[through_corner] = (tuple(full.coords[v] for v in rest),
-                                        induced(full.graph, rest))
+        # The corner cell's other diagonal joins the cut corner's two grid
+        # neighbours, so the corner-closed form is the base pattern plus that
+        # one edge; the catalog builds it by triangulating instead.
+        r, c = DRAWINGS[name].cut_corner
+        dr, dc = (1 if r == 0 else -1), (1 if c == 0 else -1)
         base, closed = PATTERNS[name].embedded, CLOSED[name].embedded
-        assert readings[True] == (base.coords, base.graph)
-        assert readings[False] == (closed.coords, closed.graph)
+        index = base.coord_index()
+        edge = (index[(r, c + dc)], index[(r + dr, c)])
+        assert closed.coords == base.coords
+        assert closed.graph == Graph.from_edges(base.graph.n, base.graph.edges + (edge,))
         assert closed.graph.edge_count == base.graph.edge_count + 1
 
     def test_only_a1_a3_a8_add_obstructions(self):

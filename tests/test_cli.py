@@ -159,6 +159,20 @@ class TestVerify:
         assert out == ""
         assert "argument --jobs: must be at least 1" in err
 
+    @pytest.mark.parametrize("size", ["3", "2xa", "0x3", "3x0"])
+    def test_sweep_size_must_be_rxc(self, size, capsys):
+        assert main(["sweep", size]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument RxC: must be RxC with R and C at least 1" in err
+
+    def test_sweep_of_no_board_is_usage_error(self, capsys):
+        # A 1x1 board has no domino placement, so mode 1 alone examines nothing.
+        assert main(["sweep", "1x1", "--domino-modes", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no board to sweep" in err
+
     def test_budget_exit_code(self):
         # No host reaches the budgeted search: every non-3-colourable host
         # here is decided by its odd wheel first.

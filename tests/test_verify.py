@@ -290,6 +290,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(2, 2, (2,))
 
+    @pytest.mark.parametrize("rows,cols,modes", [(1, 1, (1,)), (0, 3, (0, 1)), (2, 2, ())])
+    def test_sweep_of_no_board_raises(self, rows, cols, modes):
+        with pytest.raises(ValueError, match="no board to sweep"):
+            sweep(rows, cols, modes)
+
     def test_report_stream_is_deterministic(self):
         outputs = []
         for _ in range(2):
