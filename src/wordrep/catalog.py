@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -42,7 +42,15 @@ from .boards import (
     transform,
     triangulate,
 )
-from .graphs import contains_induced, induced, is_k_colourable
+from .graphs import (
+    Graph,
+    bits,
+    contains_induced,
+    find_odd_wheel,
+    induced,
+    is_k_colourable,
+    odd_links,
+)
 
 S, B = Diag.SLASH, Diag.BACKSLASH
 F, R = DominoPattern.FALL, DominoPattern.RISE
@@ -109,12 +117,30 @@ def readings(d: Drawing) -> tuple[EmbeddedGraph, ...]:
     return tuple(sorted(forms, key=lambda e: e.graph.edge_count))
 
 
+def _hub(name: str, g: Graph) -> tuple[int, int]:
+    """(hub, m) of a pattern: its first vertex whose neighbourhood is a chordless C_m."""
+    found = find_odd_wheel(g)
+    if found is None:
+        raise AssertionError(f"{name} has no odd-wheel hub")
+    hub, rim = found
+    return hub, len(rim)
+
+
 @dataclass(frozen=True)
 class PatternGraph:
+    """A base pattern; ``hub`` and ``rim_length`` are derived from its graph."""
+
     name: str
     embedded: EmbeddedGraph
     has_domino: bool
     provenance: str
+    hub: int = field(init=False, compare=False)
+    rim_length: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hub, m = _hub(self.name, self.embedded.graph)
+        object.__setattr__(self, "hub", hub)
+        object.__setattr__(self, "rim_length", m)
 
 
 @lru_cache(maxsize=1)
@@ -208,10 +234,30 @@ _AB_GROUPS = {
 
 @dataclass(frozen=True)
 class ForbiddenMember:
+    """A closure member or corner-closed form.
+
+    The odd-wheel hub, its rim length m, the hub's coordinate and the
+    footprint's extent are derived once, when the member is built.
+    """
+
     name: str  # e.g. "A3@flip_h"
     base_name: str
     symmetry: Symmetry
     embedded: EmbeddedGraph
+    hub: int = field(init=False, compare=False)
+    rim_length: int = field(init=False, compare=False)
+    hub_coord: Coord = field(init=False, compare=False, repr=False)
+    extent: Coord = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        hub, m = _hub(self.name, self.embedded.graph)
+        coords = self.embedded.coords
+        object.__setattr__(self, "hub", hub)
+        object.__setattr__(self, "rim_length", m)
+        object.__setattr__(self, "hub_coord", coords[hub])
+        object.__setattr__(
+            self, "extent", (max(r for r, _ in coords), max(c for _, c in coords))
+        )
 
 
 @dataclass(frozen=True)
@@ -280,36 +326,42 @@ def closure_report() -> dict:
 
 
 def _embedded_match(
-    host: EmbeddedGraph, pattern: EmbeddedGraph
+    host: EmbeddedGraph,
+    host_index: dict[Coord, int],
+    host_extent: Coord,
+    member: ForbiddenMember,
+    allowed: int,
 ) -> Optional[tuple[int, ...]]:
-    """Slide the pattern's footprint over the host grid; exact induced match only."""
-    host_index = host.coord_index()
-    pat_n = pattern.graph.n
-    max_pr = max(r for r, _ in pattern.coords)
-    max_pc = max(c for _, c in pattern.coords)
-    max_hr = max(r for r, _ in host.coords)
-    max_hc = max(c for _, c in host.coords)
-    for dr in range(max_hr - max_pr + 1):
-        for dc in range(max_hc - max_pc + 1):
-            mapping = []
-            for (r, c) in pattern.coords:
-                h = host_index.get((r + dr, c + dc))
-                if h is None:
-                    break
-                mapping.append(h)
-            else:
-                ok = True
-                for u in range(pat_n):
-                    for v in range(u + 1, pat_n):
-                        if pattern.graph.has_edge(u, v) != host.graph.has_edge(
-                            mapping[u], mapping[v]
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return tuple(mapping)
+    """Slide the member's footprint over the host grid; exact induced match only.
+
+    Offsets are tried in row-major order, but only those that put the hub on
+    a vertex of the bit mask ``allowed``.
+    """
+    pattern = member.embedded
+    (max_pr, max_pc), (max_hr, max_hc) = member.extent, host_extent
+    hr, hc = member.hub_coord
+    offsets = sorted(
+        (r - hr, c - hc)
+        for r, c in (host.coords[h] for h in bits(allowed))
+        if 0 <= r - hr <= max_hr - max_pr and 0 <= c - hc <= max_hc - max_pc
+    )
+    for dr, dc in offsets:
+        mapping = []
+        for (r, c) in pattern.coords:
+            h = host_index.get((r + dr, c + dc))
+            if h is None:
+                break
+            mapping.append(h)
+        else:
+            image = 0
+            for h in mapping:
+                image |= 1 << h
+            if all(
+                host.graph.adj[h] & image
+                == sum(1 << mapping[v] for v in bits(pattern.graph.adj[u]))
+                for u, h in enumerate(mapping)
+            ):
+                return tuple(mapping)
     return None
 
 
@@ -361,19 +413,43 @@ def find_forbidden(
     base patterns, then the corner-closed forms that are new obstructions; a
     corner-closed hit is reported under its base pattern's name, because a
     cut corner leaves its cell's diagonal free.
+
+    Both matchers are anchored on each pattern's odd-wheel hub: an induced
+    embedding puts the hub, whose neighbourhood is a chordless C_m, on a host
+    vertex of degree at least m whose neighbourhood is not bipartite.  A host
+    without such a vertex contains no pattern.
     """
+    g = host.graph
+    odd = odd_links(g)
+    if not odd:
+        return None
+    hub_hosts: dict[int, int] = {}  # m -> odd-link vertices of degree >= m
+
+    def anchor_mask(m: int) -> int:
+        if m not in hub_hosts:
+            hub_hosts[m] = sum(1 << v for v in bits(odd) if g.degree(v) >= m)
+        return hub_hosts[m]
+
+    index = host.coord_index()
+    extent = (max(r for r, _ in host.coords), max(c for _, c in host.coords))
     for member in s.members:
-        mapping = _embedded_match(host, member.embedded)
-        if mapping is not None:
-            return ForbiddenHit(member.name, mapping, via_embedded=True)
+        allowed = anchor_mask(member.rim_length)
+        if allowed:
+            mapping = _embedded_match(host, index, extent, member, allowed)
+            if mapping is not None:
+                return ForbiddenHit(member.name, mapping, via_embedded=True)
     if embedded_only:
         return None
     for p in minimal_graphs():
-        mapping = contains_induced(host.graph, p.embedded.graph)
-        if mapping is not None:
-            return ForbiddenHit(p.name, mapping, via_embedded=False)
+        allowed = anchor_mask(p.rim_length)
+        if allowed:
+            mapping = contains_induced(g, p.embedded.graph, anchor=(p.hub, allowed))
+            if mapping is not None:
+                return ForbiddenHit(p.name, mapping, via_embedded=False)
     for m in corner_closed_obstructions():
-        mapping = contains_induced(host.graph, m.embedded.graph)
-        if mapping is not None:
-            return ForbiddenHit(m.base_name, mapping, via_embedded=False)
+        allowed = anchor_mask(m.rim_length)
+        if allowed:
+            mapping = contains_induced(g, m.embedded.graph, anchor=(m.hub, allowed))
+            if mapping is not None:
+                return ForbiddenHit(m.base_name, mapping, via_embedded=False)
     return None

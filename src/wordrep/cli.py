@@ -57,6 +57,15 @@ def _board_size(value: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
+def _domino_modes(value: str) -> tuple[int, ...]:
+    modes = tuple(x.strip() for x in value.split(","))
+    if not set(modes) <= {"0", "1"} or len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError(
+            f"must be distinct values from 0 and 1, comma-separated, got {value!r}"
+        )
+    return tuple(int(x) for x in modes)
+
+
 def cmd_check_word(args) -> int:
     if args.emit_graph and args.format == "text":
         raise ValueError("--emit-graph takes --format json or dot")
@@ -174,8 +183,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows, cols = args.size
-    modes = tuple(int(x) for x in args.domino_modes.split(","))
-    return _write_verdicts(*sweep(rows, cols, modes, _policy(args.policy), args.jobs))
+    return _write_verdicts(
+        *sweep(rows, cols, args.domino_modes, _policy(args.policy), args.jobs)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep all boards up to RxC")
     p.add_argument("size", metavar="RxC", type=_board_size)
-    p.add_argument("--domino-modes", default="0,1")
+    p.add_argument("--domino-modes", type=_domino_modes, default="0,1")
     jobs(p)
     policy(p)
     p.set_defaults(func=cmd_sweep)

@@ -209,12 +209,15 @@ def _backtrack(
     return None
 
 
-def _induced_search(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
+def _induced_search(
+    host: Graph, pattern: Graph, anchor: Optional[tuple[int, int]] = None
+) -> Optional[tuple[int, ...]]:
     """Backtracking search for an induced embedding of pattern into host.
 
     The embedding preserves adjacency and non-adjacency.  Search order is
     deterministic: pattern vertices most-constrained-first, host candidates
-    in ascending index.
+    in ascending index.  An ``anchor`` ``(p, allowed)`` keeps pattern vertex
+    p to the host vertices in the bit mask ``allowed`` and places it first.
     """
     if pattern.n > host.n:
         return None
@@ -232,14 +235,21 @@ def _induced_search(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
         ]
         for p in range(pattern.n)
     ]
-    if any(not c for c in candidates):
-        return None
 
-    # Pattern vertex order: seed with the most constrained, then grow by
-    # connectivity so each new vertex is checked against placed neighbours.
+    # Pattern vertex order: seed with the anchor or the most constrained,
+    # then grow by connectivity so each new vertex is checked against placed
+    # neighbours.
     order: list[int] = []
     placed_mask = 0
     remaining = set(range(pattern.n))
+    if anchor is not None:
+        first, allowed = anchor
+        candidates[first] = [h for h in candidates[first] if allowed >> h & 1]
+        order.append(first)
+        placed_mask = 1 << first
+        remaining.discard(first)
+    if any(not c for c in candidates):
+        return None
     while remaining:
         best = min(
             remaining,
@@ -257,13 +267,47 @@ def _induced_search(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
     return _backtrack(host, pattern, order, candidates)
 
 
-def contains_induced(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
-    """Injective map m with pattern-edge(u,v) iff host-edge(m(u),m(v)), or None."""
+def contains_induced(
+    host: Graph, pattern: Graph, anchor: Optional[tuple[int, int]] = None
+) -> Optional[tuple[int, ...]]:
+    """Injective map m with pattern-edge(u,v) iff host-edge(m(u),m(v)), or None.
+
+    ``anchor=(p, allowed)`` restricts pattern vertex p to the host vertices
+    in the bit mask ``allowed``; the catalog anchors each pattern's odd-wheel
+    hub on ``odd_links(host)``.
+    """
     if pattern.n > MAX_PATTERN_VERTICES:
         raise GraphSizeError(
             f"pattern has {pattern.n} > {MAX_PATTERN_VERTICES} vertices"
         )
-    return _induced_search(host, pattern)
+    return _induced_search(host, pattern, anchor)
+
+
+def odd_links(g: Graph) -> int:
+    """Bit mask of the vertices whose open neighbourhood is not bipartite.
+
+    A breadth-first search by layers inside each neighbourhood: an edge
+    between two vertices of one layer closes an odd cycle, and without one
+    the layer parity is a proper 2-colouring.  An induced odd wheel can only
+    have its hub on such a vertex.
+    """
+    out = 0
+    for v in range(g.n):
+        unseen = g.adj[v]
+        while unseen:
+            layer = unseen & -unseen
+            unseen ^= layer
+            while layer:
+                reach = 0
+                for u in bits(layer):
+                    reach |= g.adj[u]
+                if reach & layer:
+                    out |= 1 << v
+                    unseen = 0
+                    break
+                layer = reach & unseen
+                unseen ^= layer
+    return out
 
 
 def cycle(m: int) -> Graph:

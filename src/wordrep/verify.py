@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Iterable, Optional
 
 from .boards import (
@@ -286,6 +285,8 @@ def classify_board(
     literals = [t.literal() for t in enumerate_triangulations(board)]
     if jobs <= 1 or len(literals) < 4:
         return _classify_board_range(board, literals, policy)
+    from multiprocessing import get_context  # only a pool needs it
+
     # Few large chunks: the per-chunk isomorphism cache loses its value when
     # the work is sliced too finely.
     chunk = max(1, (len(literals) + jobs - 1) // jobs)
@@ -364,6 +365,8 @@ def verify_theorem(
 
 
 WHEEL_CONTAINMENTS = {
+    "T1": 5,
+    "T2": 7,
     "A1": 9,
     "A2": 7,
     "A3": 7,
@@ -413,11 +416,16 @@ def verify_catalog() -> SweepReport:
     if not are_isomorphic(induced(a1.graph, rest), wheel(9)):
         fail("A1", "deleting the leftmost middle-row vertex should leave a 9-wheel")
 
-    # A corner-closed form keeps its base pattern's wheel.
+    # A corner-closed form keeps its base pattern's wheel, and the hub the
+    # catalog matchers are anchored on is that wheel's.
+    hubs = {name: p.rim_length for name, p in patterns.items()}
+    hubs.update((name, m.rim_length) for name, m in closed.items())
     for name, g in graphs.items():
-        m = WHEEL_CONTAINMENTS.get(name.rstrip("'"))
-        if m is not None and contains_induced(g, wheel(m)) is None:
+        m = WHEEL_CONTAINMENTS[name.rstrip("'")]
+        if contains_induced(g, wheel(m)) is None:
             fail(name, f"expected an induced {m}-wheel")
+        if hubs[name] != m:
+            fail(name, f"derived hub has a {hubs[name]}-cycle link, expected {m}")
 
     for m in (5, 7, 9):
         try:

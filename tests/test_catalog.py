@@ -4,6 +4,7 @@ import pytest
 
 from wordrep.boards import (
     Board,
+    EmbeddedGraph,
     enumerate_triangulations,
     parse_board,
     parse_triangulation,
@@ -102,6 +103,25 @@ class TestWheelContainments:
 
     def test_a1_contains_w9(self):
         assert contains_induced(PATTERNS["A1"].embedded.graph, wheel(9)) is not None
+
+
+HUB_RIM_LENGTHS = {
+    "T1": 5, "T2": 7,
+    "A1": 9, "A2": 7, "A3": 7, "A4": 5, "A5": 5, "A6": 7, "A7": 7, "A8": 5,
+    "B1": 5, "B2": 5,
+    "A1'": 9, "A3'": 7, "A8'": 5,
+}  # fmt: skip
+
+
+class TestHubs:
+    def test_derived_rim_lengths(self):
+        patterns = [*minimal_graphs(), *corner_closed_obstructions()]
+        assert {p.name: p.rim_length for p in patterns} == HUB_RIM_LENGTHS
+
+    @pytest.mark.parametrize("policy", list(ClosurePolicy))
+    def test_every_member_keeps_its_base_rim_length(self, policy):
+        for m in forbidden_set(policy).members:
+            assert m.rim_length == HUB_RIM_LENGTHS[m.base_name]
 
 
 class TestClosures:
@@ -241,3 +261,57 @@ class TestCornerClosedForms:
             host = triangulate(b, t)
             colourable = is_k_colourable(host.graph, 3) is not None
             assert (find_forbidden(host, s) is None) == colourable, t.literal()
+
+
+def reference_embedded(host: EmbeddedGraph, s) -> str | None:
+    """Unanchored translation matcher: every member at every offset."""
+    index = host.coord_index()
+    max_hr = max(r for r, _ in host.coords)
+    max_hc = max(c for _, c in host.coords)
+    for member in s.members:
+        p = member.embedded
+        max_pr = max(r for r, _ in p.coords)
+        max_pc = max(c for _, c in p.coords)
+        for dr in range(max_hr - max_pr + 1):
+            for dc in range(max_hc - max_pc + 1):
+                mapping = [index.get((r + dr, c + dc)) for r, c in p.coords]
+                if None in mapping:
+                    continue
+                if all(
+                    p.graph.has_edge(u, v) == host.graph.has_edge(mapping[u], mapping[v])
+                    for u in range(p.graph.n)
+                    for v in range(u + 1, p.graph.n)
+                ):
+                    return member.name
+    return None
+
+
+def reference_general(host: EmbeddedGraph) -> str | None:
+    """Unanchored general matcher: base patterns, then corner-closed obstructions."""
+    for p in minimal_graphs():
+        if contains_induced(host.graph, p.embedded.graph) is not None:
+            return p.name
+    for m in corner_closed_obstructions():
+        if contains_induced(host.graph, m.embedded.graph) is not None:
+            return m.base_name
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec", ["cells 3x3", "cells 3x3; domino V 0 1", "cells 2x3; domino H 0 0"]
+)
+def test_anchored_matchers_agree_with_unanchored_reference(spec):
+    b = parse_board(spec)
+    hosts = [(t.literal(), triangulate(b, t)) for t in enumerate_triangulations(b)]
+    general = {literal: reference_general(host) for literal, host in hosts}
+    for policy in ClosurePolicy:
+        s = forbidden_set(policy)
+        for literal, host in hosts:
+            embedded = reference_embedded(host, s)
+            want = (embedded, True) if embedded else (general[literal], False)
+            if want[0] is None:
+                want = None
+            hit = find_forbidden(host, s)
+            assert (hit and (hit.name, hit.via_embedded)) == want, (policy, literal)
+            hit = find_forbidden(host, s, embedded_only=True)
+            assert (hit and hit.name) == embedded, (policy, literal)

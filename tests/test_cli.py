@@ -166,6 +166,20 @@ class TestVerify:
         assert out == ""
         assert "argument RxC: must be RxC with R and C at least 1" in err
 
+    @pytest.mark.parametrize("modes", ["x", "0,,1", "1,1", "2", ""])
+    def test_sweep_domino_modes_must_be_distinct_zero_or_one(self, modes, capsys):
+        assert main(["sweep", "1x2", "--domino-modes", modes]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --domino-modes: must be distinct values from 0 and 1" in err
+
+    def test_sweep_domino_modes_in_any_order(self, capsys):
+        assert main(["sweep", "1x2", "--domino-modes", "1,0"]) == 0
+        swapped = capsys.readouterr().out
+        assert main(["sweep", "1x2"]) == 0
+        assert swapped == capsys.readouterr().out
+        assert json.loads(swapped.strip().split("\n")[-1])["boards_examined"] == 3
+
     def test_sweep_of_no_board_is_usage_error(self, capsys):
         # A 1x1 board has no domino placement, so mode 1 alone examines nothing.
         assert main(["sweep", "1x1", "--domino-modes", "1"]) == 2

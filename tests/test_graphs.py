@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordrep.boards import Board, enumerate_triangulations, triangulate
 from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
@@ -16,6 +17,7 @@ from wordrep.graphs import (
     induced,
     is_k_colourable,
     nonisomorphic_graphs,
+    odd_links,
     wheel,
 )
 
@@ -140,6 +142,27 @@ class TestContainsInduced:
         if m is not None:
             assert are_isomorphic(induced(host, m), pattern)
 
+    def test_anchor_pins_the_anchored_vertex(self):
+        # Two disjoint triangles: anchoring triangle vertex 0 on host vertex 4
+        # forces the second triangle; an empty mask leaves no embedding.
+        host = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        m = contains_induced(host, complete(3), anchor=(0, 1 << 4))
+        assert m is not None and m[0] == 4 and set(m) == {3, 4, 5}
+        assert contains_induced(host, complete(3), anchor=(0, 0)) is None
+
+    @given(graphs(max_n=6), graphs(max_n=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_anchor_keeps_exactly_the_allowed_images(self, host, pattern, data):
+        p = data.draw(st.integers(0, pattern.n - 1))
+        allowed = data.draw(st.integers(0, (1 << host.n) - 1))
+        m = contains_induced(host, pattern, anchor=(p, allowed))
+        if m is not None:
+            assert allowed >> m[p] & 1
+            assert are_isomorphic(induced(host, m), pattern)
+        # Anchoring on every host vertex changes nothing but the search order.
+        full = contains_induced(host, pattern, anchor=(p, (1 << host.n) - 1))
+        assert (full is None) == (contains_induced(host, pattern) is None)
+
 
 class TestConstructors:
     def test_cycle(self):
@@ -196,6 +219,30 @@ class TestFindOddWheel:
     )
     def test_none_without_odd_wheel(self, g):
         assert find_odd_wheel(g) is None
+
+
+class TestOddLinks:
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_odd_wheel_hubs(self, m):
+        assert odd_links(wheel(m)) >> m & 1
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_even_wheel_hubs(self, m):
+        assert not odd_links(wheel(m)) >> m & 1
+
+    def test_empty_on_three_colourable_hosts(self):
+        b = Board(2, 2)
+        hosts = [triangulate(b, t).graph for t in enumerate_triangulations(b)]
+        colourable = [g for g in hosts if is_k_colourable(g, 3) is not None]
+        assert colourable and len(colourable) < len(hosts)
+        assert all(odd_links(g) == 0 for g in colourable)
+
+    @given(graphs(max_n=7))
+    @settings(max_examples=80, deadline=None)
+    def test_marks_exactly_the_non_bipartite_neighbourhoods(self, g):
+        for v in range(g.n):
+            link = induced(g, [u for u in range(g.n) if g.has_edge(u, v)])
+            assert bool(odd_links(g) >> v & 1) == (is_k_colourable(link, 2) is None)
 
 
 class TestIsomorphism:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +16,7 @@ from wordrep.boards import (
     parse_triangulation,
     triangulate,
 )
-from wordrep.catalog import ClosurePolicy, forbidden_set
+from wordrep.catalog import ClosurePolicy, forbidden_set, minimal_graphs
 from wordrep.cli import main
 from wordrep.graphs import Colouring
 import wordrep.orientations as orientations_module
@@ -26,6 +28,7 @@ from wordrep.orientations import (
 )
 import wordrep.verify as verify_module
 from wordrep.verify import (
+    WHEEL_CONTAINMENTS,
     VerdictCache,
     classify,
     classify_board,
@@ -266,6 +269,25 @@ class TestCatalogVerification:
     def test_everything_checks_out(self):
         report = verify_catalog()
         assert report.passed, [v.to_json_obj() for v in report.violations]
+
+    def test_every_pattern_has_a_stated_wheel(self):
+        assert set(WHEEL_CONTAINMENTS) == {p.name for p in minimal_graphs()}
+
+    def test_derived_hub_must_match_the_stated_wheel(self, monkeypatch):
+        monkeypatch.setitem(WHEEL_CONTAINMENTS, "A8", 7)
+        report = verify_catalog()
+        details = {(v.triangulation, v.detail) for v in report.violations}
+        assert ("A8", "derived hub has a 5-cycle link, expected 7") in details
+        assert ("A8'", "derived hub has a 5-cycle link, expected 7") in details
+
+
+def test_import_leaves_multiprocessing_out():
+    # Only a pool with jobs > 1 needs multiprocessing; importing it costs
+    # memory on every single-process run.
+    code = "import sys, wordrep.verify; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSweep:
