@@ -41,11 +41,19 @@ def _policy(value: str) -> ClosurePolicy:
     return ClosurePolicy(value)
 
 
-def _positive_int(value: str) -> int:
+def _int_at_least(value: str, low: int) -> int:
     n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def _positive_int(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _non_negative_int(value: str) -> int:
+    return _int_at_least(value, 0)
 
 
 def _board_size(value: str) -> tuple[int, int]:
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide word-representability of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--emit-certificate", action="store_true")
-    p.add_argument("--budget-edges", type=int, default=None)
+    p.add_argument("--budget-edges", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("colour", help="chromatic number or k-colourability")

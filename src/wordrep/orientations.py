@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import Colouring, Graph, bits, cycle, is_k_colourable
@@ -141,29 +141,33 @@ def _closure(out: list[int], n: int) -> Optional[tuple[list[int], list[int]]]:
 
 
 def _shortcut(
-    adj: tuple[int, ...], out: list[int], n: int, desc: list[int], anc: list[int]
+    adj: tuple[int, ...],
+    arcs: Iterable[tuple[int, int]],
+    desc: list[int],
+    anc: list[int],
 ) -> Optional[tuple[int, int, int, int]]:
-    """First completed shortcut as (tail, head, x, y), or None.
+    """First completed shortcut among ``arcs`` as (tail, head, x, y), or None.
 
-    The arc tail -> head is present, x and y lie in that order on a directed
-    path from tail to head, and x, y are not adjacent.  Arcs are scanned
-    tail-major in ascending vertex order.  On a partial orientation the
-    shortcut persists under any extension: arcs are only ever added, so
-    reachability grows and non-adjacent pairs stay non-adjacent.
+    ``arcs`` yields (tail, mask of heads) pairs; the arcs are scanned in that
+    order, heads ascending.  The arc tail -> head is present, x and y lie in
+    that order on a directed path from tail to head, and x, y are not
+    adjacent.  On a partial orientation the shortcut persists under any
+    extension: arcs are only ever added, so reachability grows and
+    non-adjacent pairs stay non-adjacent.
     """
-    for u in range(n):
-        m = out[u]
-        while m:
-            low = m & -m
+    for u, heads in arcs:
+        reach = desc[u] | 1 << u
+        while heads:
+            low = heads & -heads
             v = low.bit_length() - 1
-            m ^= low
-            between = (desc[u] | 1 << u) & (anc[v] | 1 << v)
+            heads ^= low
+            between = reach & (anc[v] | low)
             probe = between
             while probe:
                 lp = probe & -probe
                 x = lp.bit_length() - 1
                 probe ^= lp
-                bad = desc[x] & between & ~adj[x] & ~(1 << x)
+                bad = desc[x] & between & ~adj[x] & ~lp
                 if bad:
                     return u, v, x, (bad & -bad).bit_length() - 1
     return None
@@ -226,7 +230,7 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     closed = _closure(out, g.n)
     if closed is None:
         raise ValueError("shortcut search needs an acyclic orientation")
-    hit = _shortcut(g.adj, out, g.n, *closed)
+    hit = _shortcut(g.adj, enumerate(out), *closed)
     if hit is None:
         return None
     tail, head, x, y = hit
@@ -242,7 +246,7 @@ def is_semi_transitive(o: Orientation) -> bool:
     g = o.graph
     out = o.out_masks()
     closed = _closure(out, g.n)
-    return closed is not None and _shortcut(g.adj, out, g.n, *closed) is None
+    return closed is not None and _shortcut(g.adj, enumerate(out), *closed) is None
 
 
 def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
@@ -316,11 +320,20 @@ def exists_semi_transitive(
 ) -> Optional[Orientation]:
     """Exhaustive search for a semi-transitive orientation.
 
-    Backtracks over edges (most-constrained-first), with incremental cycle
-    detection, forced-edge propagation, and pruning as soon as a partial
-    orientation already contains a completed shortcut.  Returns the first
-    orientation found, None after exhausting the space, and raises
-    BudgetExceededError when the graph is beyond the configured budget.
+    Backtracks over edges (most-constrained-first) and keeps the descendant
+    and ancestor masks of the partial orientation for the whole search.
+    Orienting an edge t -> h fails at once if h already reaches t; otherwise
+    every vertex of A = anc(t) + t gains B = desc(h) + h as descendants.  Each
+    undecided edge between A and B is then forced from A to B, and the search
+    prunes as soon as one of the arcs from A to B closes a shortcut: these
+    are the only arcs whose in-between sets the new reachability grows, so a
+    new shortcut must close on one of them.  Forced arcs join vertices that
+    already reach each other and leave reachability as it is, so one update
+    per branch reaches the fixpoint.  A branch saves the four state lists
+    (directions, out-arcs, descendants, ancestors) and restores them when it
+    fails.  Returns the first orientation found, None after exhausting the
+    space, and raises BudgetExceededError when the graph is beyond the
+    configured budget.
     """
     budget = DEFAULT_EDGE_BUDGET if edge_budget is None else edge_budget
     if g.n > MAX_SEARCH_VERTICES:
@@ -339,69 +352,65 @@ def exists_semi_transitive(
         range(m),
         key=lambda i: (-min(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])), g.edges[i]),
     )
-    dirs: list[Optional[int]] = [None] * m
-    out = [0] * g.n
     n = g.n
+    adj = g.adj
+    dirs: list[Optional[int]] = [None] * m
+    out = [0] * n
+    desc = [0] * n
+    anc = [0] * n
+    index = [[-1] * n for _ in range(n)]
+    for i, (u, v) in enumerate(g.edges):
+        index[u][v] = index[v][u] = i
 
-    def apply(i: int, d: int, trail: list[int]) -> None:
-        u, v = g.edges[i]
-        tail, head = (u, v) if d == FORWARD else (v, u)
-        dirs[i] = d
-        out[tail] |= 1 << head
-        trail.append(i)
-
-    def undo(trail: list[int]) -> None:
-        for i in reversed(trail):
-            u, v = g.edges[i]
-            d = dirs[i]
-            tail, head = (u, v) if d == FORWARD else (v, u)
-            out[tail] &= ~(1 << head)
-            dirs[i] = None
-
-    def propagate(trail: list[int]) -> bool:
-        """Run conflict checks and forced-edge propagation to a fixpoint."""
-        while True:
-            closed = _closure(out, n)
-            if closed is None:
-                return False  # directed cycle
-            desc, anc = closed
-            if _shortcut(g.adj, out, n, desc, anc) is not None:
+    def add_arc(t: int, h: int) -> bool:
+        """Orient t -> h and what it forces; False on a cycle or a shortcut."""
+        if desc[h] >> t & 1:
+            return False  # directed cycle
+        sources = anc[t] | 1 << t
+        sinks = desc[h] | 1 << h
+        mask = sources
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            desc[low.bit_length() - 1] |= sinks
+        mask = sinks
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            anc[low.bit_length() - 1] |= sources
+        mask = sources
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            a = low.bit_length() - 1
+            # a reaches every vertex of sinks now, so each undecided edge from
+            # a into sinks is forced away from a; t -> h is among them.
+            heads = adj[a] & sinks
+            new = heads & ~out[a]
+            if new:
+                out[a] |= new
+                row = index[a]
+                while new:
+                    lb = new & -new
+                    new ^= lb
+                    b = lb.bit_length() - 1
+                    dirs[row[b]] = FORWARD if a < b else BACKWARD
+            if heads and _shortcut(adj, ((a, heads),), desc, anc) is not None:
                 return False
-            forced: list[tuple[int, int]] = []
-            for i in range(m):
-                if dirs[i] is not None:
-                    continue
-                u, v = g.edges[i]
-                u_reaches_v = bool(desc[u] >> v & 1)
-                v_reaches_u = bool(desc[v] >> u & 1)
-                if u_reaches_v and v_reaches_u:
-                    return False
-                if v_reaches_u:
-                    forced.append((i, BACKWARD))  # u -> v would close a cycle
-                elif u_reaches_v:
-                    forced.append((i, FORWARD))
-            if not forced:
-                return True
-            for i, d in forced:
-                if dirs[i] is not None:
-                    if dirs[i] != d:
-                        return False
-                    continue
-                apply(i, d, trail)
+        return True
 
     def solve(pos: int, first_branch: bool) -> bool:
         while pos < m and dirs[order[pos]] is not None:
             pos += 1
         if pos == m:
             return True
-        i = order[pos]
-        choices = (FORWARD,) if first_branch else (FORWARD, BACKWARD)
-        for d in choices:
-            trail: list[int] = []
-            apply(i, d, trail)
-            if propagate(trail) and solve(pos + 1, False):
+        u, v = g.edges[order[pos]]
+        choices = ((u, v),) if first_branch else ((u, v), (v, u))
+        for t, h in choices:
+            saved = dirs[:], out[:], desc[:], anc[:]
+            if add_arc(t, h) and solve(pos + 1, False):
                 return True
-            undo(trail)
+            dirs[:], out[:], desc[:], anc[:] = saved
         return False
 
     if solve(0, True):
@@ -414,18 +423,22 @@ def semi_transitive_certificate(
 ) -> Optional[Orientation]:
     """A semi-transitive orientation if one exists, else None (search exhausted).
 
-    Fast path: any proper 3-colouring yields a certificate directly; the
-    constructed orientation is still re-checked before being returned.
+    Fast path: any proper 3-colouring yields a certificate directly.  Either
+    route's orientation is re-checked with ``is_semi_transitive`` before it
+    is returned.
     """
     colouring = is_k_colourable(g, 3)
     if colouring is not None:
         o = orientation_from_colouring(g, colouring)
-        if not is_semi_transitive(o):
-            raise AssertionError(
-                "colour-level orientation failed the semi-transitivity self-check"
-            )
-        return o
-    return exists_semi_transitive(g, edge_budget)
+        route = "colour-level orientation"
+    else:
+        o = exists_semi_transitive(g, edge_budget)
+        if o is None:
+            return None
+        route = "searched orientation"
+    if not is_semi_transitive(o):
+        raise AssertionError(f"{route} failed the semi-transitivity self-check")
+    return o
 
 
 def decide_word_representable(g: Graph, edge_budget: Optional[int] = None) -> bool:

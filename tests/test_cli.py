@@ -84,6 +84,18 @@ class TestDecide:
         assert rc == 3
         assert out.strip() == "inconclusive"
 
+    def test_negative_budget_is_usage_error(self, graph_file, capsys):
+        assert main(["decide", "--graph", graph_file(wheel(5)), "--budget-edges", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --budget-edges: must be at least 0, got -1" in err
+
+    def test_zero_budget_is_legal(self, graph_file, capsys):
+        assert main(["decide", "--graph", graph_file(wheel(5)), "--budget-edges", "0"]) == 3
+        assert capsys.readouterr().out == "inconclusive\n"
+        assert main(["decide", "--graph", graph_file(cycle(4)), "--budget-edges", "0"]) == 0
+        assert capsys.readouterr().out == "yes\n"
+
 
 class TestColour:
     def test_chromatic_number(self, graph_file):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordrep import orientations
 from wordrep.errors import BudgetExceededError
 from wordrep.graphs import (
     Colouring,
@@ -17,7 +20,11 @@ from wordrep.graphs import (
     wheel,
 )
 from wordrep.orientations import (
+    BACKWARD,
+    FORWARD,
     Orientation,
+    _closure,
+    _shortcut,
     check_odd_wheel,
     cycle_is_comparability,
     decide_word_representable,
@@ -206,6 +213,112 @@ class TestSearch:
             exists_semi_transitive(cycle(5), edge_budget=3)
 
 
+def reference_search(g: Graph) -> Optional[tuple[Optional[int], ...]]:
+    """The search with the closure and every check rebuilt from scratch.
+
+    Same edge order and branch order as ``exists_semi_transitive``; after
+    each branch it recomputes the closure, scans every arc for a shortcut
+    and every edge for a forced direction, until nothing changes.
+    """
+    m = g.edge_count
+    order = sorted(
+        range(m),
+        key=lambda i: (-min(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])), g.edges[i]),
+    )
+    dirs: list[Optional[int]] = [None] * m
+
+    def out_masks() -> list[int]:
+        return Orientation(g, tuple(dirs)).out_masks()
+
+    def propagate(trail: list[int]) -> bool:
+        while True:
+            closed = _closure(out_masks(), g.n)
+            if closed is None or _shortcut(g.adj, enumerate(out_masks()), *closed) is not None:
+                return False
+            desc = closed[0]
+            forced = []
+            for i, (u, v) in enumerate(g.edges):
+                if dirs[i] is None and desc[u] >> v & 1:
+                    forced.append(i)
+                    dirs[i] = FORWARD
+                elif dirs[i] is None and desc[v] >> u & 1:
+                    forced.append(i)
+                    dirs[i] = BACKWARD
+            if not forced:
+                return True
+            trail += forced
+
+    def solve(pos: int, first_branch: bool) -> bool:
+        while pos < m and dirs[order[pos]] is not None:
+            pos += 1
+        if pos == m:
+            return True
+        i = order[pos]
+        for d in (FORWARD,) if first_branch else (FORWARD, BACKWARD):
+            trail = [i]
+            dirs[i] = d
+            if propagate(trail) and solve(pos + 1, False):
+                return True
+            for j in trail:
+                dirs[j] = None
+        return False
+
+    return tuple(dirs) if solve(0, True) else None
+
+
+def assert_search_matches_reference(g: Graph) -> None:
+    o = exists_semi_transitive(g)
+    assert (None if o is None else o.directions) == reference_search(g), g
+
+
+def chosen_graph(n: int, chosen) -> Graph:
+    """The graph on n vertices keeping the pairs (u, v), u < v, that ``chosen`` marks."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, tuple(e for e, keep in zip(pairs, chosen) if keep))
+
+
+def wheel_with_extras(rng: random.Random) -> Graph:
+    m = rng.choice((5, 7))
+    w = wheel(m)
+    n = w.n + rng.randint(1, 3)
+    edges = list(w.edges)
+    for x in range(w.n, n):
+        edges += [(u, x) for u in range(x) if rng.random() < 0.35] or [(0, x)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, edges).relabel(tuple(perm))
+
+
+class TestSearchExactness:
+    """The incremental search returns what the from-scratch search returns."""
+
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for chosen in itertools.product((False, True), repeat=n * (n - 1) // 2):
+                assert_search_matches_reference(chosen_graph(n, chosen))
+
+    @pytest.mark.parametrize(
+        "g",
+        [wheel(m) for m in range(4, 10)] + [complete(n) for n in range(1, 7)],
+        ids=[f"W{m}" for m in range(4, 10)] + [f"K{n}" for n in range(1, 7)],
+    )
+    def test_wheels_and_cliques(self, g):
+        assert_search_matches_reference(g)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, data):
+        n = data.draw(st.integers(1, 9))
+        size = n * (n - 1) // 2
+        chosen = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        assert_search_matches_reference(chosen_graph(n, chosen))
+
+    def test_odd_wheels_with_extra_vertices(self):
+        rng = random.Random("odd wheels with extras")
+        for _ in range(24):
+            assert_search_matches_reference(wheel_with_extras(rng))
+
+
 class TestDecide:
     def test_square_yes(self):
         assert decide_word_representable(cycle(4))
@@ -232,6 +345,15 @@ class TestDecide:
                 if (w := search_uniform_word(g, k)) is not None
             )
             assert represents(w, g)
+
+    def test_searched_certificate_is_rechecked(self, monkeypatch):
+        g = wheel(5)  # not 3-colourable, so the certificate comes from the search
+        rim = [(i, (i + 1) % 5) for i in range(5)]
+        cyclic = orientation_from_arcs(g, rim + [(i, 5) for i in range(5)])
+        assert not is_acyclic(cyclic)
+        monkeypatch.setattr(orientations, "exists_semi_transitive", lambda g, budget: cyclic)
+        with pytest.raises(AssertionError, match="searched orientation"):
+            semi_transitive_certificate(g)
 
     def test_orientation_json(self):
         o = semi_transitive_certificate(complete(3))
