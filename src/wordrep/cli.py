@@ -5,7 +5,7 @@ and 0-based in graph JSON files; words are digit strings like ``14213243``
 or comma-separated like ``1,4,2,1,3,2,4,3``.
 
 Exit codes: 0 success/pass, 1 verification violation, 2 usage or parse
-error, 3 inconclusive (a search budget was exceeded).
+error, 3 inconclusive (a search or enumeration budget was exceeded).
 """
 
 from __future__ import annotations
@@ -265,6 +265,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

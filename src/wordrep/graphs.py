@@ -69,9 +69,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in range(self.n)))
-
     def relabel(self, perm: tuple[int, ...]) -> Graph:
         """Return the graph with vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -159,112 +156,67 @@ def induced(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph.from_edges(len(kept), edges)
 
 
-def _nbr_degrees(g: Graph, v: int) -> tuple[int, ...]:
-    return tuple(sorted((g.degree(u) for u in bits(g.adj[v])), reverse=True))
-
-
-def _dominates(host_degs: tuple[int, ...], pat_degs: tuple[int, ...]) -> bool:
-    if len(host_degs) < len(pat_degs):
-        return False
-    return all(h >= p for h, p in zip(host_degs, pat_degs))
-
-
-def _backtrack(
-    host: Graph, pattern: Graph, order: list[int], candidates: list[list[int]]
-) -> Optional[tuple[int, ...]]:
-    """First induced embedding of pattern into host, or None.
-
-    Pattern vertices are placed in ``order``; vertex p tries the host vertices
-    ``candidates[p]`` in list order.  Each placement must match adjacency and
-    non-adjacency against every vertex placed before it, so the order and the
-    candidate lists fix which embedding is found first.
-    """
-    mapping = [-1] * pattern.n
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == pattern.n:
-            return True
-        p = order[i]
-        for h in candidates[p]:
-            if used >> h & 1:
-                continue
-            ok = True
-            for q in order[:i]:
-                if pattern.has_edge(p, q) != host.has_edge(h, mapping[q]):
-                    ok = False
-                    break
-            if ok:
-                mapping[p] = h
-                used |= 1 << h
-                if place(i + 1):
-                    return True
-                used ^= 1 << h
-                mapping[p] = -1
-        return False
-
-    if place(0):
-        return tuple(mapping)
-    return None
-
-
 def _induced_search(
     host: Graph, pattern: Graph, anchor: Optional[tuple[int, int]] = None
 ) -> Optional[tuple[int, ...]]:
-    """Backtracking search for an induced embedding of pattern into host.
+    """First induced embedding of pattern into host, or None.
 
-    The embedding preserves adjacency and non-adjacency.  Search order is
-    deterministic: pattern vertices most-constrained-first, host candidates
-    in ascending index.  An ``anchor`` ``(p, allowed)`` keeps pattern vertex
-    p to the host vertices in the bit mask ``allowed`` and places it first.
+    Pattern vertex p may go to the host vertices of degree at least its own;
+    an ``anchor`` ``(p, allowed)`` also keeps p to the bit mask ``allowed``
+    and places it first.  Otherwise a highest-degree vertex goes first, and
+    each next vertex is the one with the most placed neighbours (ties to the
+    higher degree, then the lower index).  A vertex's candidates are the
+    unused allowed host vertices adjacent to the image of every placed
+    neighbour and to the image of no placed non-neighbour, tried in
+    ascending index, so the embedding found first is deterministic.
     """
     if pattern.n > host.n:
         return None
     if pattern.n == 0:
         return ()
-
-    host_nd = [_nbr_degrees(host, h) for h in range(host.n)]
-    pat_nd = [_nbr_degrees(pattern, p) for p in range(pattern.n)]
-    candidates = [
-        [
-            h
-            for h in range(host.n)
-            if host.degree(h) >= pattern.degree(p)
-            and _dominates(host_nd[h], pat_nd[p])
-        ]
-        for p in range(pattern.n)
-    ]
-
-    # Pattern vertex order: seed with the anchor or the most constrained,
-    # then grow by connectivity so each new vertex is checked against placed
-    # neighbours.
+    at_least = [0] * host.n  # at_least[d]: host vertices of degree >= d
+    for h in range(host.n):
+        at_least[host.degree(h)] |= 1 << h
+    for d in range(host.n - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    degree = [pattern.degree(p) for p in range(pattern.n)]
+    allowed = [at_least[d] for d in degree]
     order: list[int] = []
-    placed_mask = 0
-    remaining = set(range(pattern.n))
+    placed = 0
     if anchor is not None:
-        first, allowed = anchor
-        candidates[first] = [h for h in candidates[first] if allowed >> h & 1]
+        first, mask = anchor
+        allowed[first] &= mask
         order.append(first)
-        placed_mask = 1 << first
-        remaining.discard(first)
-    if any(not c for c in candidates):
+        placed = 1 << first
+    if not all(allowed):
         return None
-    while remaining:
+    while len(order) < pattern.n:
         best = min(
-            remaining,
-            key=lambda p: (
-                -((pattern.adj[p] & placed_mask).bit_count()),
-                len(candidates[p]),
-                -pattern.degree(p),
-                p,
-            ),
+            (p for p in range(pattern.n) if not placed >> p & 1),
+            key=lambda p: (-(pattern.adj[p] & placed).bit_count(), -degree[p], p),
         )
         order.append(best)
-        placed_mask |= 1 << best
-        remaining.discard(best)
+        placed |= 1 << best
 
-    return _backtrack(host, pattern, order, candidates)
+    mapping = [-1] * pattern.n
+
+    def place(i: int, used: int) -> bool:
+        if i == pattern.n:
+            return True
+        p = order[i]
+        cand = allowed[p] & ~used
+        for q in order[:i]:
+            image = host.adj[mapping[q]]
+            cand &= image if pattern.adj[p] >> q & 1 else ~image
+        while cand:
+            low = cand & -cand
+            mapping[p] = low.bit_length() - 1
+            if place(i + 1, used | low):
+                return True
+            cand ^= low
+        return False
+
+    return tuple(mapping) if place(0, 0) else None
 
 
 def contains_induced(
@@ -385,21 +337,12 @@ def refinement_hash(g: Graph) -> tuple:
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test via refinement-guided backtracking."""
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    if a.degree_sequence() != b.degree_sequence():
-        return False
-    ca, cb = _refine_colours(a), _refine_colours(b)
-    if sorted(ca) != sorted(cb):
-        return False
-
-    order = sorted(range(a.n), key=lambda v: (sorted(ca).count(ca[v]), -a.degree(v), v))
-    by_colour: dict[int, list[int]] = {}
-    for h in range(b.n):
-        by_colour.setdefault(cb[h], []).append(h)
-    candidates = [by_colour[ca[p]] for p in range(a.n)]
-    return _backtrack(b, a, order, candidates) is not None
+    """Exact isomorphism test: an induced embedding of equal order and size."""
+    return (
+        a.n == b.n
+        and a.edge_count == b.edge_count
+        and _induced_search(b, a) is not None
+    )
 
 
 @lru_cache(maxsize=None)

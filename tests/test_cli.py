@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -120,6 +121,13 @@ class TestEnumerate:
         rc, _, err = run_cli("enumerate", "--board", "cells 0x2")
         assert rc == 2
 
+    def test_over_budget_board_is_inconclusive(self, capsys):
+        assert main(["enumerate", "--board", "cells 5x5"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "budget: 25 binary choices exceed the enumeration budget\n",
+        )
+
 
 class TestCatalog:
     def test_json_payload(self):
@@ -148,6 +156,13 @@ class TestVerify:
     def test_placement_out_of_bounds(self):
         rc, _, err = run_cli("verify", "--board", "cells 1x1; domino H 0 0")
         assert rc == 2
+
+    def test_over_budget_board_is_inconclusive(self, capsys):
+        assert main(["verify", "--board", "cells 1x21"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "budget: 21 binary choices exceed the enumeration budget\n",
+        )
 
     def test_sweep_deterministic_across_jobs(self):
         outputs = []
@@ -210,6 +225,21 @@ class TestVerify:
         assert len(no_lines) == 4
         assert all(set(c["certificate"]) == {"odd_wheel"} for c in no_lines)
         assert "routes: colouring=4 odd_wheel=4 search=0 budget=0" in err
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["sweep", "3x3"], "6c275d8e733f044b"),
+        (["sweep", "3x3", "--policy", "literal"], "cccd9b582c4e731a"),
+        (["catalog", "--emit", "json"], "76583e50e332ab5e"),
+    ],
+    ids=["sweep", "sweep-literal", "catalog-json"],
+)
+def test_reports_are_byte_identical(argv, digest, capsys):
+    # A deliberate change to a report's content updates its digest here.
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
 BASE_ARGV = {

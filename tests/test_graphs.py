@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,45 @@ class TestContainsInduced:
         assert (full is None) == (contains_induced(host, pattern) is None)
 
 
+def brute_force_embeddings(host, pattern, anchor=None):
+    """Every injective map that is an induced embedding respecting the anchor."""
+    pairs = list(combinations(range(pattern.n), 2))
+    for m in permutations(range(host.n), pattern.n):
+        if anchor is not None and not anchor[1] >> m[anchor[0]] & 1:
+            continue
+        if all(pattern.has_edge(u, v) == host.has_edge(m[u], m[v]) for u, v in pairs):
+            yield m
+
+
+class TestSearchExactness:
+    @given(graphs(max_n=7), graphs(max_n=4), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_none_exactly_when_no_embedding_exists(self, host, pattern, anchored, data):
+        anchor = None
+        if anchored:
+            anchor = (
+                data.draw(st.integers(0, pattern.n - 1)),
+                data.draw(st.integers(0, (1 << host.n) - 1)),
+            )
+        m = contains_induced(host, pattern, anchor=anchor)
+        found = set(brute_force_embeddings(host, pattern, anchor))
+        assert m in found if m is not None else not found
+
+    @given(graphs(max_n=6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_are_isomorphic_matches_brute_force(self, a, data):
+        # Half the partners are relabelled copies, half share a's order and size.
+        if data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(a.n)))
+            b = a.relabel(tuple(perm))
+        else:
+            pairs = list(combinations(range(a.n), 2))
+            chosen = data.draw(st.permutations(pairs))[: a.edge_count]
+            b = Graph(a.n, tuple(sorted(chosen)))
+        brute = any(a.relabel(perm) == b for perm in permutations(range(a.n)))
+        assert are_isomorphic(a, b) == brute == are_isomorphic(b, a)
+
+
 class TestConstructors:
     def test_cycle(self):
         c = cycle(4)
@@ -274,4 +315,5 @@ class TestIsomorphism:
 
 
 def test_nonisomorphic_graph_counts():
-    assert [len(nonisomorphic_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    # OEIS A000088.
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
