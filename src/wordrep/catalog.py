@@ -236,8 +236,8 @@ _AB_GROUPS = {
 class ForbiddenMember:
     """A closure member or corner-closed form.
 
-    The odd-wheel hub, its rim length m, the hub's coordinate and the
-    footprint's extent are derived once, when the member is built.
+    The odd-wheel hub and its rim length m are derived once, when the member
+    is built; they anchor the general matcher.
     """
 
     name: str  # e.g. "A3@flip_h"
@@ -246,24 +246,64 @@ class ForbiddenMember:
     embedded: EmbeddedGraph
     hub: int = field(init=False, compare=False)
     rim_length: int = field(init=False, compare=False)
-    hub_coord: Coord = field(init=False, compare=False, repr=False)
-    extent: Coord = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         hub, m = _hub(self.name, self.embedded.graph)
-        coords = self.embedded.coords
         object.__setattr__(self, "hub", hub)
         object.__setattr__(self, "rim_length", m)
-        object.__setattr__(self, "hub_coord", coords[hub])
-        object.__setattr__(
-            self, "extent", (max(r for r, _ in coords), max(c for _, c in coords))
-        )
+
+
+# (member name, pair mask, edge mask, mapping): one translation of a member
+# into a host layout of n vertices.  The pair mask has bit a*n+b set for every
+# a, b in the image, the edge mask both bits of each mapped pattern edge.
+Placement = tuple[str, int, int, tuple[int, ...]]
+
+
+def _placements(
+    members: tuple[ForbiddenMember, ...], coords: tuple[Coord, ...]
+) -> tuple[Placement, ...]:
+    """Every translation of every member that lands on vertices of the layout.
+
+    Members in member order, each at its offsets in row-major order.
+    """
+    n = len(coords)
+    index = {rc: v for v, rc in enumerate(coords)}
+    max_hr, max_hc = max(r for r, _ in coords), max(c for _, c in coords)
+    table = []
+    for member in members:
+        pattern = member.embedded
+        max_pr = max(r for r, _ in pattern.coords)
+        max_pc = max(c for _, c in pattern.coords)
+        for dr in range(max_hr - max_pr + 1):
+            for dc in range(max_hc - max_pc + 1):
+                mapping = tuple(index.get((r + dr, c + dc)) for r, c in pattern.coords)
+                if None in mapping:
+                    continue
+                image = sum(1 << h for h in mapping)
+                pairs = sum(image << (h * n) for h in mapping)
+                edges = sum(
+                    1 << (mapping[u] * n + mapping[v]) | 1 << (mapping[v] * n + mapping[u])
+                    for u, v in pattern.graph.edges
+                )
+                table.append((member.name, pairs, edges, mapping))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
 class ForbiddenSet:
     policy: ClosurePolicy
     members: tuple[ForbiddenMember, ...]
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def placements(self, coords: tuple[Coord, ...]) -> tuple[Placement, ...]:
+        """The members' placement table for one host layout, built on first use.
+
+        All hosts of one board shape share a layout, with or without a domino.
+        """
+        table = self._tables.get(coords)
+        if table is None:
+            table = self._tables[coords] = _placements(self.members, coords)
+        return table
 
 
 @lru_cache(maxsize=None)
@@ -325,46 +365,6 @@ def closure_report() -> dict:
     }
 
 
-def _embedded_match(
-    host: EmbeddedGraph,
-    host_index: dict[Coord, int],
-    host_extent: Coord,
-    member: ForbiddenMember,
-    allowed: int,
-) -> Optional[tuple[int, ...]]:
-    """Slide the member's footprint over the host grid; exact induced match only.
-
-    Offsets are tried in row-major order, but only those that put the hub on
-    a vertex of the bit mask ``allowed``.
-    """
-    pattern = member.embedded
-    (max_pr, max_pc), (max_hr, max_hc) = member.extent, host_extent
-    hr, hc = member.hub_coord
-    offsets = sorted(
-        (r - hr, c - hc)
-        for r, c in (host.coords[h] for h in bits(allowed))
-        if 0 <= r - hr <= max_hr - max_pr and 0 <= c - hc <= max_hc - max_pc
-    )
-    for dr, dc in offsets:
-        mapping = []
-        for (r, c) in pattern.coords:
-            h = host_index.get((r + dr, c + dc))
-            if h is None:
-                break
-            mapping.append(h)
-        else:
-            image = 0
-            for h in mapping:
-                image |= 1 << h
-            if all(
-                host.graph.adj[h] & image
-                == sum(1 << mapping[v] for v in bits(pattern.graph.adj[u]))
-                for u, h in enumerate(mapping)
-            ):
-                return tuple(mapping)
-    return None
-
-
 @dataclass(frozen=True)
 class ForbiddenHit:
     name: str
@@ -414,14 +414,25 @@ def find_forbidden(
     corner-closed hit is reported under its base pattern's name, because a
     cut corner leaves its cell's diagonal free.
 
-    Both matchers are anchored on each pattern's odd-wheel hub: an induced
-    embedding puts the hub, whose neighbourhood is a chordless C_m, on a host
-    vertex of degree at least m whose neighbourhood is not bipartite.  A host
-    without such a vertex contains no pattern.
+    The translation matcher is a table lookup: with the host encoded as one
+    adjacency-matrix int, a placement from ``s.placements`` matches iff the
+    host's bits on the image's vertex pairs are exactly the mapped pattern
+    edges.  Only the general matcher is anchored, on each pattern's odd-wheel
+    hub: an induced embedding puts the hub, whose neighbourhood is a
+    chordless C_m, on a host vertex of degree at least m whose neighbourhood
+    is not bipartite.  A host without such a vertex contains no pattern, and
+    a matching placement already puts its hub on one, so the anchor would
+    change no first hit of the table.
     """
     g = host.graph
     odd = odd_links(g)
     if not odd:
+        return None
+    adj = sum(a << (u * g.n) for u, a in enumerate(g.adj))
+    for name, pairs, edges, mapping in s.placements(host.coords):
+        if adj & pairs == edges:
+            return ForbiddenHit(name, mapping, via_embedded=True)
+    if embedded_only:
         return None
     hub_hosts: dict[int, int] = {}  # m -> odd-link vertices of degree >= m
 
@@ -430,16 +441,6 @@ def find_forbidden(
             hub_hosts[m] = sum(1 << v for v in bits(odd) if g.degree(v) >= m)
         return hub_hosts[m]
 
-    index = host.coord_index()
-    extent = (max(r for r, _ in host.coords), max(c for _, c in host.coords))
-    for member in s.members:
-        allowed = anchor_mask(member.rim_length)
-        if allowed:
-            mapping = _embedded_match(host, index, extent, member, allowed)
-            if mapping is not None:
-                return ForbiddenHit(member.name, mapping, via_embedded=True)
-    if embedded_only:
-        return None
     for p in minimal_graphs():
         allowed = anchor_mask(p.rim_length)
         if allowed:

@@ -251,8 +251,11 @@ def odd_links(g: Graph) -> int:
             unseen ^= layer
             while layer:
                 reach = 0
-                for u in bits(layer):
-                    reach |= g.adj[u]
+                m = layer
+                while m:
+                    low = m & -m
+                    reach |= g.adj[low.bit_length() - 1]
+                    m ^= low
                 if reach & layer:
                     out |= 1 << v
                     unseen = 0

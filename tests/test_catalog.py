@@ -13,6 +13,8 @@ from wordrep.boards import (
 from wordrep.catalog import (
     DRAWINGS,
     ClosurePolicy,
+    ForbiddenHit,
+    ForbiddenSet,
     closure_report,
     corner_closed_forms,
     corner_closed_obstructions,
@@ -263,8 +265,11 @@ class TestCornerClosedForms:
             assert (find_forbidden(host, s) is None) == colourable, t.literal()
 
 
-def reference_embedded(host: EmbeddedGraph, s) -> str | None:
-    """Unanchored translation matcher: every member at every offset."""
+def reference_embedded(host: EmbeddedGraph, s) -> tuple[str, tuple[int, ...]] | None:
+    """Unanchored translation matcher: every member at every offset, row-major.
+
+    Returns the member name and mapping of the first induced placement.
+    """
     index = host.coord_index()
     max_hr = max(r for r, _ in host.coords)
     max_hc = max(c for _, c in host.coords)
@@ -275,15 +280,18 @@ def reference_embedded(host: EmbeddedGraph, s) -> str | None:
         for dr in range(max_hr - max_pr + 1):
             for dc in range(max_hc - max_pc + 1):
                 mapping = [index.get((r + dr, c + dc)) for r, c in p.coords]
-                if None in mapping:
-                    continue
-                if all(
-                    p.graph.has_edge(u, v) == host.graph.has_edge(mapping[u], mapping[v])
-                    for u in range(p.graph.n)
-                    for v in range(u + 1, p.graph.n)
-                ):
-                    return member.name
+                if None not in mapping and induced_at(host.graph, p.graph, mapping):
+                    return member.name, tuple(mapping)
     return None
+
+
+def induced_at(g: Graph, pattern: Graph, mapping) -> bool:
+    """Whether ``mapping`` is an induced embedding of ``pattern`` into ``g``."""
+    return all(
+        pattern.has_edge(u, v) == g.has_edge(mapping[u], mapping[v])
+        for u in range(pattern.n)
+        for v in range(u + 1, pattern.n)
+    )
 
 
 def reference_general(host: EmbeddedGraph) -> str | None:
@@ -298,7 +306,13 @@ def reference_general(host: EmbeddedGraph) -> str | None:
 
 
 @pytest.mark.parametrize(
-    "spec", ["cells 3x3", "cells 3x3; domino V 0 1", "cells 2x3; domino H 0 0"]
+    "spec",
+    [
+        "cells 3x3",
+        "cells 3x3; domino V 0 1",
+        "cells 2x3; domino H 0 0",
+        "cells 3x3; domino H 1 1",
+    ],
 )
 def test_anchored_matchers_agree_with_unanchored_reference(spec):
     b = parse_board(spec)
@@ -308,10 +322,63 @@ def test_anchored_matchers_agree_with_unanchored_reference(spec):
         s = forbidden_set(policy)
         for literal, host in hosts:
             embedded = reference_embedded(host, s)
-            want = (embedded, True) if embedded else (general[literal], False)
-            if want[0] is None:
-                want = None
+            want = embedded and ForbiddenHit(*embedded, via_embedded=True)
+            assert find_forbidden(host, s, embedded_only=True) == want, (policy, literal)
             hit = find_forbidden(host, s)
-            assert (hit and (hit.name, hit.via_embedded)) == want, (policy, literal)
-            hit = find_forbidden(host, s, embedded_only=True)
-            assert (hit and hit.name) == embedded, (policy, literal)
+            if embedded:
+                assert hit == want, (policy, literal)
+                continue
+            name = general[literal]
+            assert (hit and (hit.name, hit.via_embedded)) == (name and (name, False))
+            if hit is not None:
+                forms = [PATTERNS[name].embedded.graph]
+                if name in CLOSED:
+                    forms.append(CLOSED[name].embedded.graph)
+                assert any(induced_at(host.graph, f, hit.mapping) for f in forms)
+
+
+class TestPlacementTables:
+    @pytest.mark.parametrize("policy", list(ClosurePolicy))
+    def test_every_member_finds_itself(self, policy):
+        # The A members leave their cut corner out, so their layouts have a hole.
+        s = forbidden_set(policy)
+        for m in s.members:
+            e = m.embedded
+            hit = find_forbidden(e, s, embedded_only=True)
+            assert hit == ForbiddenHit(m.name, tuple(range(e.graph.n)), True), m.name
+
+    def test_first_offset_in_row_major_order(self):
+        # T1@rot180 is induced at two offsets of one row of this host (vertex
+        # columns 0-2 and 2-4); the hit is the left one.
+        b = Board(3, 4)
+        host = triangulate(b, parse_triangulation(b, "////////\\/\\/"))
+        for policy in ClosurePolicy:
+            s = forbidden_set(policy)
+            want = ForbiddenHit("T1@rot180", (5, 6, 7, 10, 11, 12, 15, 16, 17), True)
+            assert reference_embedded(host, s) == (want.name, want.mapping)
+            assert find_forbidden(host, s) == want
+
+    @pytest.mark.parametrize("spec", ["cells 1x3", "cells 2x1"])
+    def test_layout_smaller_than_every_footprint(self, spec):
+        b = parse_board(spec)
+        for policy in ClosurePolicy:
+            s = forbidden_set(policy)
+            for t in enumerate_triangulations(b):
+                host = triangulate(b, t)
+                assert s.placements(host.coords) == ()
+                hit = find_forbidden(host, s)
+                assert (hit and hit.name) == reference_general(host)
+
+    @pytest.mark.parametrize("policy", list(ClosurePolicy))
+    def test_table_built_once_per_layout(self, policy):
+        coords = triangulate(Board(3, 3), parse_triangulation(Board(3, 3), "/" * 9)).coords
+        s = forbidden_set(policy)
+        assert s.placements(coords) is forbidden_set(policy).placements(coords)
+
+    @pytest.mark.parametrize("policy", list(ClosurePolicy))
+    def test_set_stays_equal_and_hashable(self, policy):
+        s = forbidden_set(policy)
+        s.placements(triangulate(Board(2, 2), parse_triangulation(Board(2, 2), "////")).coords)
+        fresh = ForbiddenSet(s.policy, s.members)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert {s: policy}[fresh] is policy
