@@ -21,7 +21,7 @@ from .boards import parse_board, enumerate_triangulations
 from .catalog import ClosurePolicy, closure_report, forbidden_set, minimal_graphs
 from .dot import embedded_to_dot, graph_to_dot
 from .errors import BudgetExceededError
-from .graphs import Graph, chromatic_number, is_k_colourable
+from .graphs import Graph, chromatic_number, find_odd_wheel, is_k_colourable
 from .orientations import semi_transitive_certificate
 from .verify import sweep, verify_theorem, write_report
 from .words import format_word, graph_of_word, parse_word, represents
@@ -106,8 +106,14 @@ def cmd_decide(args) -> int:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     print("yes" if certificate is not None else "no")
-    if args.emit_certificate and certificate is not None:
-        print(json.dumps(certificate.to_json_obj(), sort_keys=True))
+    if args.emit_certificate:
+        if certificate is not None:
+            print(json.dumps(certificate.to_json_obj(), sort_keys=True))
+        elif (found := find_odd_wheel(g)) is not None:
+            # The wheel semi_transitive_certificate found and re-checked; a
+            # "no" from the search has no certificate.
+            hub, rim = found
+            print(json.dumps({"odd_wheel": [hub, *rim]}))
     return EXIT_OK
 
 

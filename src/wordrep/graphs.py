@@ -235,33 +235,40 @@ def contains_induced(
     return _induced_search(host, pattern, anchor)
 
 
+def _odd_link(adj: tuple[int, ...], ring: int) -> bool:
+    """True when the vertex set ``ring`` does not induce a bipartite graph.
+
+    A breadth-first search by layers inside ``ring``: an edge between two
+    vertices of one layer closes an odd cycle, and without one the layer
+    parity is a proper 2-colouring.
+    """
+    unseen = ring
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        while layer:
+            reach = 0
+            m = layer
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length() - 1]
+                m ^= low
+            if reach & layer:
+                return True
+            layer = reach & unseen
+            unseen ^= layer
+    return False
+
+
 def odd_links(g: Graph) -> int:
     """Bit mask of the vertices whose open neighbourhood is not bipartite.
 
-    A breadth-first search by layers inside each neighbourhood: an edge
-    between two vertices of one layer closes an odd cycle, and without one
-    the layer parity is a proper 2-colouring.  An induced odd wheel can only
-    have its hub on such a vertex.
+    An induced odd wheel can only have its hub on such a vertex.
     """
     out = 0
-    for v in range(g.n):
-        unseen = g.adj[v]
-        while unseen:
-            layer = unseen & -unseen
-            unseen ^= layer
-            while layer:
-                reach = 0
-                m = layer
-                while m:
-                    low = m & -m
-                    reach |= g.adj[low.bit_length() - 1]
-                    m ^= low
-                if reach & layer:
-                    out |= 1 << v
-                    unseen = 0
-                    break
-                layer = reach & unseen
-                unseen ^= layer
+    for v, ring in enumerate(g.adj):
+        if _odd_link(g.adj, ring):
+            out |= 1 << v
     return out
 
 
@@ -279,38 +286,68 @@ def wheel(m: int) -> Graph:
     return Graph.from_edges(m + 1, edges)
 
 
-def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(hub, rim) of a vertex whose neighbourhood is a chordless odd cycle, or None.
+def _close_odd_cycle(
+    adj: tuple[int, ...], inner: int, close: int, path: list[int], blocked: int
+) -> bool:
+    """Extend the induced path ``path`` to an induced odd cycle of length >= 5.
 
-    The hub is the first vertex in index order whose open neighbourhood
-    induces a chordless cycle of odd length at least 5.  The rim lists that
-    cycle in cyclic order: it starts at the lowest rim vertex and steps first
-    to that vertex's lower rim neighbour.
+    ``close`` holds the neighbours of path[0] that may end the cycle and
+    ``inner`` the other vertices it may use; ``blocked`` holds the path and
+    every neighbour of a path vertex before its end, except path[0].  The
+    path closes at the lowest vertex of ``close`` next to its end when the
+    cycle then has odd length at least 5; otherwise it extends through its
+    end's neighbours in ``inner``, lower first.  True when ``path`` holds
+    the cycle.
     """
-    for hub in range(g.n):
-        ring = g.adj[hub]
-        size = ring.bit_count()
-        if size < 5 or not size & 1:
+    end = adj[path[-1]] & ~blocked
+    shut = end & close
+    if shut and len(path) >= 4 and not len(path) & 1:
+        path.append((shut & -shut).bit_length() - 1)
+        return True
+    ext = end & inner
+    blocked |= adj[path[-1]]
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        path.append(low.bit_length() - 1)
+        if _close_odd_cycle(adj, inner, close, path, blocked | low):
+            return True
+        path.pop()
+    return False
+
+
+def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(hub, rim) of an induced odd wheel W_m (odd m >= 5), or None.
+
+    Hubs are tried in index order; a hub with fewer than 5 neighbours or a
+    bipartite neighbourhood is skipped.  Inside the neighbourhood of each
+    other hub, every neighbour s is tried in ascending order as the rim's
+    lowest vertex: a depth-first search over the induced paths from s
+    through the vertices above s, stepping first to s's lower neighbours,
+    returns the first induced odd cycle of length at least 5.  The rim lists
+    that cycle in cyclic order, from s to its lower rim neighbour: a cycle
+    through a higher first step b and back through a lower a closes,
+    reversed, in the earlier branch through a, so the branch through b lets
+    only neighbours of s above b close.  Where a neighbourhood is a
+    chordless cycle or a path, as on a triangulation host, the rim is that
+    whole cycle.
+    """
+    adj = g.adj
+    for hub, ring in enumerate(adj):
+        if ring.bit_count() < 5 or not _odd_link(adj, ring):
             continue
-        # A chordless cycle: every ring vertex has exactly two ring neighbours
-        # and the walk from the lowest one closes only after visiting all.
-        m = ring
-        while m:
-            low = m & -m
-            if (g.adj[low.bit_length() - 1] & ring).bit_count() != 2:
-                break
-            m ^= low
-        if m:
-            continue
-        start = (ring & -ring).bit_length() - 1
-        nbrs = g.adj[start] & ring
-        prev, cur = start, (nbrs & -nbrs).bit_length() - 1
-        rim = [start]
-        while cur != start:
-            rim.append(cur)
-            prev, cur = cur, (g.adj[cur] & ring & ~(1 << prev)).bit_length() - 1
-        if len(rim) == size:
-            return hub, tuple(rim)
+        while ring.bit_count() >= 5:
+            first = ring & -ring
+            s = first.bit_length() - 1
+            ring ^= first  # the neighbours above s
+            close = adj[s] & ring
+            inner = ring & ~close
+            while close:
+                low = close & -close
+                close ^= low
+                path = [s, low.bit_length() - 1]
+                if _close_odd_cycle(adj, inner, close, path, first | low):
+                    return hub, tuple(path)
     return None
 
 

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Colouring, Graph, bits, cycle, is_k_colourable
+from .graphs import Colouring, Graph, bits, cycle, find_odd_wheel, is_k_colourable
 
 DEFAULT_EDGE_BUDGET = 48
 MAX_SEARCH_VERTICES = 20
@@ -421,12 +421,22 @@ def exists_semi_transitive(
 def semi_transitive_certificate(
     g: Graph, edge_budget: Optional[int] = None
 ) -> Optional[Orientation]:
-    """A semi-transitive orientation if one exists, else None (search exhausted).
+    """A semi-transitive orientation if one exists, else None.
 
-    Fast path: any proper 3-colouring yields a certificate directly.  Either
-    route's orientation is re-checked with ``is_semi_transitive`` before it
-    is returned.
+    Three routes, in this order.  An induced odd wheel from ``find_odd_wheel``,
+    re-checked by ``check_odd_wheel``, gives None: such a graph is not
+    word-representable, and it is not 3-colourable either, so the colouring
+    would fail.  A proper 3-colouring gives its colour-level orientation; a
+    3-colourable graph has only bipartite neighbourhoods, so the finder skips
+    each of its hubs after one parity test.  Otherwise the exhaustive search
+    decides, within ``edge_budget``.  The orientation of either "yes" route
+    is re-checked with ``is_semi_transitive`` before it is returned.
     """
+    found = find_odd_wheel(g)
+    if found is not None:
+        if not check_odd_wheel(g, *found):
+            raise AssertionError("odd wheel failed its re-check")
+        return None
     colouring = is_k_colourable(g, 3)
     if colouring is not None:
         o = orientation_from_colouring(g, colouring)

@@ -191,12 +191,13 @@ def classify(
     """Fill all three verdicts for one triangulation graph.
 
     Word-representability takes the first of three routes that applies: a
-    proper 3-colouring gives "yes" (its orientation is still re-checked); a
-    vertex whose neighbourhood induces a chordless cycle of odd length >= 5,
-    found by ``find_odd_wheel`` and accepted by ``check_odd_wheel``, gives
-    "no"; otherwise the exhaustive orientation search decides, within its
-    default budget.  The forbidden-pattern verdict is computed independently
-    of all three.
+    proper 3-colouring gives "yes" (its orientation is still re-checked); an
+    induced odd wheel W_m (odd m >= 5), found by ``find_odd_wheel`` and
+    accepted by ``check_odd_wheel``, gives "no"; otherwise the exhaustive
+    orientation search decides, within its default budget.  The colouring
+    goes first, unlike in ``semi_transitive_certificate``, because its
+    verdict is reported either way.  The forbidden-pattern verdict is
+    computed independently of all three.
     """
     g = e.graph
     colouring = is_k_colourable(g, 3)

@@ -8,7 +8,16 @@ import sys
 import pytest
 
 from wordrep.cli import main
-from wordrep.graphs import cycle, wheel
+from wordrep.graphs import Graph, complete, cycle, find_odd_wheel, wheel
+from wordrep.orientations import check_odd_wheel
+
+# Not word-representable, with no 3-colouring and no induced odd wheel: only
+# the exhaustive search decides it.
+SEARCHED_NO = Graph.from_edges(
+    7,
+    [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (3, 4), (3, 5),
+     (3, 6), (4, 6), (5, 6)],
+)
 
 
 def run_cli(*argv):
@@ -79,8 +88,9 @@ class TestDecide:
         assert json.loads(lines[1])["edges"]
 
     def test_budget_is_inconclusive(self, graph_file):
+        # K4 has neither a 3-colouring nor an odd wheel: only the search decides.
         rc, out, _ = run_cli(
-            "decide", "--graph", graph_file(wheel(5)), "--budget-edges", "3"
+            "decide", "--graph", graph_file(complete(4)), "--budget-edges", "3"
         )
         assert rc == 3
         assert out.strip() == "inconclusive"
@@ -92,10 +102,32 @@ class TestDecide:
         assert "argument --budget-edges: must be at least 0, got -1" in err
 
     def test_zero_budget_is_legal(self, graph_file, capsys):
-        assert main(["decide", "--graph", graph_file(wheel(5)), "--budget-edges", "0"]) == 3
+        assert main(["decide", "--graph", graph_file(complete(4)), "--budget-edges", "0"]) == 3
         assert capsys.readouterr().out == "inconclusive\n"
         assert main(["decide", "--graph", graph_file(cycle(4)), "--budget-edges", "0"]) == 0
         assert capsys.readouterr().out == "yes\n"
+
+    def test_odd_wheel_is_no_at_zero_budget(self, graph_file, capsys):
+        # The wheel decides before any search, so no budget can bind.
+        assert main(["decide", "--graph", graph_file(wheel(5)), "--budget-edges", "0"]) == 0
+        assert capsys.readouterr().out == "no\n"
+
+    def test_odd_wheel_certificate(self, graph_file):
+        g = wheel(7).relabel((3, 0, 6, 1, 5, 2, 4, 7))
+        rc, out, _ = run_cli("decide", "--graph", graph_file(g), "--emit-certificate")
+        assert rc == 0
+        verdict, certificate = out.strip().split("\n")
+        assert verdict == "no"
+        # The rim starts at its lowest vertex, 0, and steps to 3, the lower
+        # of 0's rim neighbours 3 and 6.
+        assert json.loads(certificate) == {"odd_wheel": [7, 0, 3, 4, 2, 5, 1, 6]}
+        assert check_odd_wheel(g, 7, (0, 3, 4, 2, 5, 1, 6))
+
+    def test_searched_no_has_no_certificate(self, graph_file):
+        assert find_odd_wheel(SEARCHED_NO) is None
+        rc, out, _ = run_cli("decide", "--graph", graph_file(SEARCHED_NO), "--emit-certificate")
+        assert rc == 0
+        assert out == "no\n"
 
 
 class TestColour:
@@ -240,6 +272,36 @@ def test_reports_are_byte_identical(argv, digest, capsys):
     # A deliberate change to a report's content updates its digest here.
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+def word_graph(word: str) -> Graph:
+    """The graph ``check-word --emit-graph`` prints for ``word``."""
+    rc, out, _ = run_cli("check-word", "--word", word, "--emit-graph")
+    assert rc == 0
+    return Graph.from_json_obj(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "source,digest",
+    [
+        (lambda: complete(4), "408175f2cb8b90e6"),
+        (lambda: wheel(5), "0626403f8ad8d5a3"),
+        (lambda: wheel(6), "a371bac2364ebbdc"),
+        (lambda: wheel(7), "daee1bcf649cf0f6"),
+        (lambda: word_graph("14213243"), "91a5928dcaf81f2f"),
+        (lambda: word_graph("123412354"), "0fd2b958e289c668"),
+        (lambda: word_graph("7778362138457577"), "63cd8e57359b3ece"),
+    ],
+    ids=["K4", "W5", "W6", "W7", "C4-word", "K4-pendant-word", "8-letter-word"],
+)
+def test_decide_outputs_are_byte_identical(source, digest, graph_file, capsys):
+    # The verdict, then the verdict with its certificate, hashed together.
+    path = graph_file(source())
+    out = ""
+    for extra in ((), ("--emit-certificate",)):
+        assert main(["decide", "--graph", path, *extra]) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 BASE_ARGV = {

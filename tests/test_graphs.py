@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordrep.boards import Board, enumerate_triangulations, triangulate
+from wordrep.boards import Board, enumerate_triangulations, parse_board, triangulate
 from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
@@ -22,6 +22,7 @@ from wordrep.graphs import (
     odd_links,
     wheel,
 )
+from wordrep.orientations import check_odd_wheel
 
 
 @st.composite
@@ -260,6 +261,101 @@ class TestFindOddWheel:
     )
     def test_none_without_odd_wheel(self, g):
         assert find_odd_wheel(g) is None
+
+    @pytest.mark.parametrize(
+        "g,found",
+        [
+            # Hub 6 sees the 5-cycle 0..4 and vertex 5, which closes the
+            # triangle 0-1-5 beside it; the rim is the 5-cycle.
+            (
+                Graph.from_edges(7, [*cycle(5).edges, (0, 5), (1, 5)] + [(v, 6) for v in range(6)]),
+                (6, (0, 1, 2, 3, 4)),
+            ),
+            # The chord 0-3 of W7's rim leaves the 4-cycle 0-1-2-3, tried first
+            # from 0 and abandoned, and the 5-cycle 0-3-4-5-6.
+            (chorded(wheel(7), 0, 3), (7, (0, 3, 4, 5, 6))),
+            # Vertex 0 hangs off the rim 1..5 of a W5 with hub 6: the search
+            # from 0 finds nothing, the one from 1 the 5-cycle.
+            (
+                Graph.from_edges(
+                    7, [(0, 1)] + [(v, v % 5 + 1) for v in range(1, 6)] + [(v, 6) for v in range(6)]
+                ),
+                (6, (1, 2, 3, 4, 5)),
+            ),
+            # Hub 0 of a fan over the path 1..5, with the chords 1-3, 2-4 and
+            # 3-5, sees triangles only: its neighbourhood is odd but holds no
+            # rim.  A W5 on 6..11 comes after it.
+            (
+                Graph.from_edges(
+                    12,
+                    [(0, v) for v in range(1, 6)]
+                    + [(v, v + 1) for v in range(1, 5)]
+                    + [(1, 3), (2, 4), (3, 5)]
+                    + [(u + 6, v + 6) for u, v in wheel(5).edges],
+                ),
+                (11, (6, 7, 8, 9, 10)),
+            ),
+        ],
+        ids=["C5-in-six", "chorded-C7", "pendant-below-rim", "triangles-only-hub"],
+    )
+    def test_wheels_in_chorded_neighbourhoods(self, g, found):
+        assert find_odd_wheel(g) == found
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_brute_force(self, g):
+        found = find_odd_wheel(g)
+        assert (found is not None) == has_induced_odd_wheel(g)
+        if found is not None:
+            hub, rim = found
+            assert check_odd_wheel(g, hub, rim)
+            assert rim[0] == min(rim) and rim[1] < rim[-1]
+
+    @pytest.mark.parametrize(
+        "spec", ["cells 3x3", "cells 3x3; domino H 0 0", "cells 3x3; domino H 1 1"]
+    )
+    def test_agrees_with_chordless_link_finder_on_triangulations(self, spec):
+        board = parse_board(spec)
+        checked = 0
+        for t in enumerate_triangulations(board):
+            g = triangulate(board, t).graph
+            if is_k_colourable(g, 3) is None:
+                assert find_odd_wheel(g) == chordless_link_wheel(g)
+                checked += 1
+        assert checked
+
+
+def has_induced_odd_wheel(g: Graph) -> bool:
+    """Brute force: some odd set of >= 5 neighbours of a vertex induces a cycle."""
+    for hub in range(g.n):
+        ring = [v for v in range(g.n) if g.has_edge(hub, v)]
+        for size in range(5, len(ring) + 1, 2):
+            for rim in combinations(ring, size):
+                if are_isomorphic(induced(g, rim), cycle(size)):
+                    return True
+    return False
+
+
+def chordless_link_wheel(g: Graph):
+    """Reference finder: the first hub whose whole neighbourhood is a chordless
+    odd cycle of length >= 5, with its rim in the normal order."""
+    for hub in range(g.n):
+        ring = g.adj[hub]
+        size = ring.bit_count()
+        if size < 5 or not size & 1:
+            continue
+        if any((g.adj[v] & ring).bit_count() != 2 for v in range(g.n) if ring >> v & 1):
+            continue
+        start = (ring & -ring).bit_length() - 1
+        nbrs = g.adj[start] & ring
+        prev, cur = start, (nbrs & -nbrs).bit_length() - 1
+        rim = [start]
+        while cur != start:
+            rim.append(cur)
+            prev, cur = cur, (g.adj[cur] & ring & ~(1 << prev)).bit_length() - 1
+        if len(rim) == size:
+            return hub, tuple(rim)
+    return None
 
 
 class TestOddLinks:

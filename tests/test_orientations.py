@@ -15,6 +15,7 @@ from wordrep.graphs import (
     Graph,
     complete,
     cycle,
+    find_odd_wheel,
     is_k_colourable,
     nonisomorphic_graphs,
     wheel,
@@ -347,13 +348,31 @@ class TestDecide:
             assert represents(w, g)
 
     def test_searched_certificate_is_rechecked(self, monkeypatch):
-        g = wheel(5)  # not 3-colourable, so the certificate comes from the search
-        rim = [(i, (i + 1) % 5) for i in range(5)]
-        cyclic = orientation_from_arcs(g, rim + [(i, 5) for i in range(5)])
+        # Neither 3-colourable nor holding an odd wheel, so the certificate
+        # comes from the search.
+        g = complete(4)
+        cyclic = orientation_from_arcs(g, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
         assert not is_acyclic(cyclic)
         monkeypatch.setattr(orientations, "exists_semi_transitive", lambda g, budget: cyclic)
         with pytest.raises(AssertionError, match="searched orientation"):
             semi_transitive_certificate(g)
+
+    def test_odd_wheels_with_extra_vertices_are_certified(self, monkeypatch):
+        def no_search(g, budget):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(orientations, "exists_semi_transitive", no_search)
+        rng = random.Random("odd wheels with extras")
+        for _ in range(24):
+            g = wheel_with_extras(rng)
+            found = find_odd_wheel(g)
+            assert found is not None and check_odd_wheel(g, *found)
+            assert semi_transitive_certificate(g) is None
+
+    def test_odd_wheel_is_rechecked(self, monkeypatch):
+        monkeypatch.setattr(orientations, "find_odd_wheel", lambda g: (6, (0, 1, 2, 3, 4)))
+        with pytest.raises(AssertionError, match="odd wheel"):
+            semi_transitive_certificate(wheel(6))
 
     def test_orientation_json(self):
         o = semi_transitive_certificate(complete(3))
