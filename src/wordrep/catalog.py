@@ -118,7 +118,7 @@ def readings(d: Drawing) -> tuple[EmbeddedGraph, ...]:
 
 
 def _hub(name: str, g: Graph) -> tuple[int, int]:
-    """(hub, m) of a pattern: its first vertex whose neighbourhood is a chordless C_m."""
+    """(hub, m) of a pattern: hub and rim length of the odd wheel ``find_odd_wheel`` finds."""
     found = find_odd_wheel(g)
     if found is None:
         raise AssertionError(f"{name} has no odd-wheel hub")
@@ -441,16 +441,12 @@ def find_forbidden(
             hub_hosts[m] = sum(1 << v for v in bits(odd) if g.degree(v) >= m)
         return hub_hosts[m]
 
-    for p in minimal_graphs():
+    general = [(p.name, p) for p in minimal_graphs()]
+    general += [(m.base_name, m) for m in corner_closed_obstructions()]
+    for name, p in general:
         allowed = anchor_mask(p.rim_length)
         if allowed:
             mapping = contains_induced(g, p.embedded.graph, anchor=(p.hub, allowed))
             if mapping is not None:
-                return ForbiddenHit(p.name, mapping, via_embedded=False)
-    for m in corner_closed_obstructions():
-        allowed = anchor_mask(m.rim_length)
-        if allowed:
-            mapping = contains_induced(g, m.embedded.graph, anchor=(m.hub, allowed))
-            if mapping is not None:
-                return ForbiddenHit(m.base_name, mapping, via_embedded=False)
+                return ForbiddenHit(name, mapping, via_embedded=False)
     return None

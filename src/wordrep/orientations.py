@@ -22,82 +22,57 @@ from .graphs import Colouring, Graph, bits, cycle, find_odd_wheel, is_k_colourab
 DEFAULT_EDGE_BUDGET = 48
 MAX_SEARCH_VERTICES = 20
 
-FORWARD = 1  # arc u -> v for the stored edge (u, v), u < v
-BACKWARD = -1
-
 
 @dataclass(frozen=True)
 class Orientation:
-    """Per-edge directions over a graph; ``None`` marks an undecided edge."""
+    """A total orientation: ``out[v]`` is the mask of v's out-neighbours.
+
+    Every edge of the graph is oriented exactly one way, and every arc is an
+    edge; the constructor refuses anything else.
+    """
 
     graph: Graph
-    directions: tuple[Optional[int], ...]
+    out: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.directions) != self.graph.edge_count:
-            raise ValueError("one direction slot per edge required")
-        for d in self.directions:
-            if d not in (FORWARD, BACKWARD, None):
-                raise ValueError(f"bad direction value {d!r}")
-
-    @property
-    def is_total(self) -> bool:
-        return all(d is not None for d in self.directions)
+        g, out = self.graph, self.out
+        if len(out) != g.n:
+            raise ValueError("one out-neighbour mask per vertex required")
+        for v, heads in enumerate(out):
+            if heads & ~g.adj[v]:
+                raise ValueError(f"an arc out of {v} is not an edge of the graph")
+        for u, v in g.edges:
+            if out[u] >> v & 1 == out[v] >> u & 1:
+                raise ValueError(f"edge ({u}, {v}) needs exactly one direction")
 
     def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), d in zip(self.graph.edges, self.directions):
-            if d == FORWARD:
-                out.append((u, v))
-            elif d == BACKWARD:
-                out.append((v, u))
-        return out
+        """Every arc, in edge order."""
+        return [(u, v) if self.out[u] >> v & 1 else (v, u) for u, v in self.graph.edges]
 
     def has_arc(self, tail: int, head: int) -> bool:
-        key = (tail, head) if tail < head else (head, tail)
-        try:
-            i = self.graph.edges.index(key)
-        except ValueError:
-            return False
-        d = self.directions[i]
-        if d is None:
-            return False
-        return (d == FORWARD) == (tail < head)
-
-    def out_masks(self) -> list[int]:
-        out = [0] * self.graph.n
-        for tail, head in self.arcs():
-            out[tail] |= 1 << head
-        return out
+        return 0 <= tail < self.graph.n and head >= 0 and bool(self.out[tail] >> head & 1)
 
     def reversed(self) -> Orientation:
-        return Orientation(
-            self.graph,
-            tuple(None if d is None else -d for d in self.directions),
-        )
+        return Orientation(self.graph, tuple(a & ~o for a, o in zip(self.graph.adj, self.out)))
 
     def to_json_obj(self) -> dict:
         return {
             "edges": [
-                [u, v, "uv" if d == FORWARD else "vu"]
-                for (u, v), d in zip(self.graph.edges, self.directions)
-                if d is not None
+                [u, v, "uv" if self.out[u] >> v & 1 else "vu"] for u, v in self.graph.edges
             ]
         }
 
 
-def orientation_from_arcs(g: Graph, arcs: list[tuple[int, int]]) -> Orientation:
-    index = {e: i for i, e in enumerate(g.edges)}
-    dirs: list[Optional[int]] = [None] * g.edge_count
+def orientation_from_arcs(g: Graph, arcs: Iterable[tuple[int, int]]) -> Orientation:
+    out = [0] * g.n
     for tail, head in arcs:
-        key = (tail, head) if tail < head else (head, tail)
-        if key not in index:
+        if not (0 <= tail < g.n and 0 <= head < g.n and g.has_edge(tail, head)):
             raise ValueError(f"arc {tail}->{head} is not an edge of the graph")
-        dirs[index[key]] = FORWARD if tail < head else BACKWARD
-    return Orientation(g, tuple(dirs))
+        out[tail] |= 1 << head
+    return Orientation(g, tuple(out))
 
 
-def _closure(out: list[int], n: int) -> Optional[tuple[list[int], list[int]]]:
+def _closure(out: Sequence[int], n: int) -> Optional[tuple[list[int], list[int]]]:
     """Descendant and ancestor masks of a DAG, or None if a directed cycle exists."""
     indeg = [0] * n
     for u in range(n):
@@ -143,8 +118,8 @@ def _closure(out: list[int], n: int) -> Optional[tuple[list[int], list[int]]]:
 def _shortcut(
     adj: tuple[int, ...],
     arcs: Iterable[tuple[int, int]],
-    desc: list[int],
-    anc: list[int],
+    desc: Sequence[int],
+    anc: Sequence[int],
 ) -> Optional[tuple[int, int, int, int]]:
     """First completed shortcut among ``arcs`` as (tail, head, x, y), or None.
 
@@ -174,9 +149,7 @@ def _shortcut(
 
 
 def is_acyclic(o: Orientation) -> bool:
-    if not o.is_total:
-        raise ValueError("acyclicity is only defined for total orientations")
-    return _closure(o.out_masks(), o.graph.n) is not None
+    return _closure(o.out, o.graph.n) is not None
 
 
 @dataclass(frozen=True)
@@ -200,7 +173,7 @@ class ShortcutWitness:
         return not o.has_arc(x, y)
 
 
-def _bfs_path(out: list[int], src: int, dst: int) -> list[int]:
+def _bfs_path(out: Sequence[int], src: int, dst: int) -> list[int]:
     if src == dst:
         return [src]
     parent = {src: -1}
@@ -222,11 +195,9 @@ def _bfs_path(out: list[int], src: int, dst: int) -> list[int]:
 
 
 def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
-    """A verifiable shortcut witness of a total acyclic orientation, or None."""
-    if not o.is_total:
-        raise ValueError("shortcut search needs a total orientation")
+    """A verifiable shortcut witness of an acyclic orientation, or None."""
     g = o.graph
-    out = o.out_masks()
+    out = o.out
     closed = _closure(out, g.n)
     if closed is None:
         raise ValueError("shortcut search needs an acyclic orientation")
@@ -241,12 +212,9 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
 
 
 def is_semi_transitive(o: Orientation) -> bool:
-    if not o.is_total:
-        raise ValueError("acyclicity is only defined for total orientations")
     g = o.graph
-    out = o.out_masks()
-    closed = _closure(out, g.n)
-    return closed is not None and _shortcut(g.adj, enumerate(out), *closed) is None
+    closed = _closure(o.out, g.n)
+    return closed is not None and _shortcut(g.adj, enumerate(o.out), *closed) is None
 
 
 def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
@@ -262,10 +230,11 @@ def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
         raise ValueError("colour values must lie in {1, 2, 3}")
     if not c.is_proper_for(g):
         raise ValueError("colouring is not proper")
-    dirs = tuple(
-        FORWARD if c.colours[u] < c.colours[v] else BACKWARD for u, v in g.edges
-    )
-    return Orientation(g, dirs)
+    above = [0, 0, 0, 0]  # above[k]: the vertices coloured higher than k
+    for v, col in enumerate(c.colours):
+        above[1] |= (col > 1) << v
+        above[2] |= (col > 2) << v
+    return Orientation(g, tuple(a & above[col] for a, col in zip(g.adj, c.colours)))
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +247,8 @@ def cycle_is_comparability(m: int) -> bool:
     have m <= 9.
     """
     c = cycle(m)
-    for dirs in product((FORWARD, BACKWARD), repeat=c.edge_count):
-        out = Orientation(c, dirs).out_masks()
+    for arcs in product(*(((u, v), (v, u)) for u, v in c.edges)):
+        out = orientation_from_arcs(c, arcs).out
         if all(out[b] & ~out[a] == 0 for a in range(m) for b in bits(out[a])):
             return True
     return False
@@ -329,11 +298,11 @@ def exists_semi_transitive(
     are the only arcs whose in-between sets the new reachability grows, so a
     new shortcut must close on one of them.  Forced arcs join vertices that
     already reach each other and leave reachability as it is, so one update
-    per branch reaches the fixpoint.  A branch saves the four state lists
-    (directions, out-arcs, descendants, ancestors) and restores them when it
-    fails.  Returns the first orientation found, None after exhausting the
-    space, and raises BudgetExceededError when the graph is beyond the
-    configured budget.
+    per branch reaches the fixpoint.  A branch saves the three state lists
+    (out-neighbour, descendant and ancestor masks) and restores them when it
+    fails.  Returns the first orientation found, whose masks are the search's
+    own out-neighbour list, None after exhausting the space, and raises
+    BudgetExceededError when the graph is beyond the configured budget.
     """
     budget = DEFAULT_EDGE_BUDGET if edge_budget is None else edge_budget
     if g.n > MAX_SEARCH_VERTICES:
@@ -345,22 +314,12 @@ def exists_semi_transitive(
             f"{g.edge_count} edges exceed the search budget of {budget}"
         )
     m = g.edge_count
-    if m == 0:
-        return Orientation(g, ())
-
-    order = sorted(
-        range(m),
-        key=lambda i: (-min(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])), g.edges[i]),
-    )
+    edges = sorted(g.edges, key=lambda e: (-min(g.degree(e[0]), g.degree(e[1])), e))
     n = g.n
     adj = g.adj
-    dirs: list[Optional[int]] = [None] * m
     out = [0] * n
     desc = [0] * n
     anc = [0] * n
-    index = [[-1] * n for _ in range(n)]
-    for i, (u, v) in enumerate(g.edges):
-        index[u][v] = index[v][u] = i
 
     def add_arc(t: int, h: int) -> bool:
         """Orient t -> h and what it forces; False on a cycle or a shortcut."""
@@ -383,38 +342,32 @@ def exists_semi_transitive(
             low = mask & -mask
             mask ^= low
             a = low.bit_length() - 1
-            # a reaches every vertex of sinks now, so each undecided edge from
-            # a into sinks is forced away from a; t -> h is among them.
+            # a reaches every vertex of sinks now, so each edge from a into
+            # sinks is oriented away from a; t -> h is among them.
             heads = adj[a] & sinks
-            new = heads & ~out[a]
-            if new:
-                out[a] |= new
-                row = index[a]
-                while new:
-                    lb = new & -new
-                    new ^= lb
-                    b = lb.bit_length() - 1
-                    dirs[row[b]] = FORWARD if a < b else BACKWARD
+            out[a] |= heads
             if heads and _shortcut(adj, ((a, heads),), desc, anc) is not None:
                 return False
         return True
 
     def solve(pos: int, first_branch: bool) -> bool:
-        while pos < m and dirs[order[pos]] is not None:
+        while pos < m:
+            u, v = edges[pos]
+            if not (out[u] >> v | out[v] >> u) & 1:
+                break  # the first undecided edge
             pos += 1
         if pos == m:
             return True
-        u, v = g.edges[order[pos]]
         choices = ((u, v),) if first_branch else ((u, v), (v, u))
         for t, h in choices:
-            saved = dirs[:], out[:], desc[:], anc[:]
+            saved = out[:], desc[:], anc[:]
             if add_arc(t, h) and solve(pos + 1, False):
                 return True
-            dirs[:], out[:], desc[:], anc[:] = saved
+            out[:], desc[:], anc[:] = saved
         return False
 
     if solve(0, True):
-        return Orientation(g, tuple(dirs))
+        return Orientation(g, tuple(out))
     return None
 
 

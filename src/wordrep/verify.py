@@ -20,10 +20,10 @@ from .boards import (
     Board,
     EmbeddedGraph,
     Symmetry,
+    Triangulation,
     domino_placements,
     enumerate_triangulations,
     flip_domino_pattern,
-    parse_triangulation,
     transform_triangulation,
     triangulate,
 )
@@ -252,29 +252,22 @@ def classify(
 
 def _classify_board_range(
     board: Board,
-    literals: list[str],
+    triangulations: list[Triangulation],
     policy: ClosurePolicy,
 ) -> list[Classification]:
     s = forbidden_set(policy)
     cache = VerdictCache()
     board_id = board.spec_string()
-    out = []
-    for literal in literals:
-        t = parse_triangulation(board, literal)
-        out.append(
-            classify(
-                triangulate(board, t),
-                s,
-                board_id=board_id,
-                triangulation=literal,
-                cache=cache,
-            )
+    return [
+        classify(
+            triangulate(board, t),
+            s,
+            board_id=board_id,
+            triangulation=t.literal(),
+            cache=cache,
         )
-    return out
-
-
-def _pool_worker(args) -> list[Classification]:
-    return _classify_board_range(*args)
+        for t in triangulations
+    ]
 
 
 def classify_board(
@@ -283,17 +276,17 @@ def classify_board(
     jobs: int = 1,
 ) -> list[Classification]:
     """Classify every triangulation of a board, in choice-vector order."""
-    literals = [t.literal() for t in enumerate_triangulations(board)]
-    if jobs <= 1 or len(literals) < 4:
-        return _classify_board_range(board, literals, policy)
+    triangulations = list(enumerate_triangulations(board))
+    if jobs <= 1 or len(triangulations) < 4:
+        return _classify_board_range(board, triangulations, policy)
     from multiprocessing import get_context  # only a pool needs it
 
     # Few large chunks: the per-chunk isomorphism cache loses its value when
     # the work is sliced too finely.
-    chunk = max(1, (len(literals) + jobs - 1) // jobs)
-    ranges = [literals[i : i + chunk] for i in range(0, len(literals), chunk)]
+    chunk = max(1, (len(triangulations) + jobs - 1) // jobs)
+    ranges = [triangulations[i : i + chunk] for i in range(0, len(triangulations), chunk)]
     with get_context("fork").Pool(jobs) as pool:
-        parts = pool.map(_pool_worker, [(board, part, policy) for part in ranges])
+        parts = pool.starmap(_classify_board_range, [(board, part, policy) for part in ranges])
     return [c for part in parts for c in part]
 
 

@@ -21,8 +21,6 @@ from wordrep.graphs import (
     wheel,
 )
 from wordrep.orientations import (
-    BACKWARD,
-    FORWARD,
     Orientation,
     _closure,
     _shortcut,
@@ -44,6 +42,49 @@ def transitive_tournament(n: int) -> Orientation:
     return orientation_from_arcs(g, [(u, v) for u, v in g.edges])
 
 
+def per_edge(g: Graph, forward) -> Orientation:
+    """Edge (u, v), u < v, oriented u -> v where ``forward`` marks it, else v -> u."""
+    return orientation_from_arcs(
+        g, [(u, v) if f else (v, u) for (u, v), f in zip(g.edges, forward)]
+    )
+
+
+class TestOrientationValues:
+    def test_wrong_mask_count(self):
+        with pytest.raises(ValueError, match="per vertex"):
+            Orientation(complete(3), (0b110, 0b100))
+
+    def test_non_edge_arc(self):
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not an edge"):
+            Orientation(path, (0b110, 0b100, 0))
+
+    def test_edge_in_both_directions(self):
+        with pytest.raises(ValueError, match="exactly one direction"):
+            Orientation(complete(2), (0b10, 0b01))
+
+    def test_unoriented_edge(self):
+        with pytest.raises(ValueError, match="exactly one direction"):
+            Orientation(complete(2), (0, 0))
+
+    @pytest.mark.parametrize("arc", [(0, 3), (3, 0), (-1, 0), (0, -1)])
+    def test_out_of_range_arc(self, arc):
+        with pytest.raises(ValueError, match="not an edge"):
+            orientation_from_arcs(cycle(3), [arc])
+
+    def test_arcs_and_json_follow_edge_order(self):
+        o = orientation_from_arcs(cycle(3), [(1, 2), (2, 0), (1, 0)])
+        assert o.arcs() == [(1, 0), (2, 0), (1, 2)]
+        assert o.to_json_obj() == {"edges": [[0, 1, "vu"], [0, 2, "vu"], [1, 2, "uv"]]}
+        assert o.has_arc(1, 0) and not o.has_arc(0, 1) and not o.has_arc(0, 5)
+
+    def test_reversed_twice_is_original(self):
+        for o in (transitive_tournament(5), exists_semi_transitive(wheel(6))):
+            r = o.reversed()
+            assert r.arcs() == [(h, t) for t, h in o.arcs()]
+            assert r.reversed() == o
+
+
 class TestAcyclicity:
     def test_transitive_tournament(self):
         assert is_acyclic(transitive_tournament(4))
@@ -53,9 +94,8 @@ class TestAcyclicity:
         assert not is_acyclic(o)
 
     def test_partial_rejected(self):
-        o = Orientation(cycle(3), (1, None, 1))
         with pytest.raises(ValueError):
-            is_acyclic(o)
+            orientation_from_arcs(cycle(3), [(0, 1), (1, 2)])
 
 
 class TestShortcuts:
@@ -77,8 +117,8 @@ class TestShortcuts:
         # three-arc path plus a same-direction closing arc are shortcuts; the
         # other 6 are semi-transitive.
         acyclic = semi_transitive = 0
-        for dirs in itertools.product((1, -1), repeat=4):
-            o = Orientation(cycle(4), dirs)
+        for forward in itertools.product((True, False), repeat=4):
+            o = per_edge(cycle(4), forward)
             if is_acyclic(o):
                 acyclic += 1
                 w = find_shortcut(o)
@@ -100,14 +140,9 @@ class TestShortcuts:
         w = find_shortcut(o)
         arcs = [(w.path[i], w.path[i + 1]) for i in range(len(w.path) - 1)]
         arcs.append((w.path[0], w.path[-1]))
-        for tail, head in arcs:
-            weakened = [
-                None
-                if tuple(sorted((tail, head))) == e
-                else d
-                for e, d in zip(g.edges, o.directions)
-            ]
-            assert not w.verify(Orientation(g, tuple(weakened)))
+        for arc in arcs:
+            weakened = [(h, t) if (t, h) == arc else (t, h) for t, h in o.arcs()]
+            assert not w.verify(orientation_from_arcs(g, weakened))
 
 
 def semi_transitive_by_paths(o: Orientation) -> bool:
@@ -135,8 +170,8 @@ def semi_transitive_by_paths(o: Orientation) -> bool:
 )
 def test_shortcut_scan_matches_definition_on_every_orientation(g):
     any_passes = False
-    for dirs in itertools.product((1, -1), repeat=g.edge_count):
-        o = Orientation(g, dirs)
+    for forward in itertools.product((True, False), repeat=g.edge_count):
+        o = per_edge(g, forward)
         expected = semi_transitive_by_paths(o)
         assert is_semi_transitive(o) == expected
         any_passes = any_passes or expected
@@ -214,22 +249,28 @@ class TestSearch:
             exists_semi_transitive(cycle(5), edge_budget=3)
 
 
-def reference_search(g: Graph) -> Optional[tuple[Optional[int], ...]]:
+def reference_search(g: Graph) -> Optional[tuple[bool, ...]]:
     """The search with the closure and every check rebuilt from scratch.
 
     Same edge order and branch order as ``exists_semi_transitive``; after
     each branch it recomputes the closure, scans every arc for a shortcut
-    and every edge for a forced direction, until nothing changes.
+    and every edge for a forced direction, until nothing changes.  Returns,
+    per edge (u, v) in edge order, whether it is oriented u -> v.
     """
     m = g.edge_count
     order = sorted(
         range(m),
         key=lambda i: (-min(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])), g.edges[i]),
     )
-    dirs: list[Optional[int]] = [None] * m
+    dirs: list[Optional[bool]] = [None] * m
 
     def out_masks() -> list[int]:
-        return Orientation(g, tuple(dirs)).out_masks()
+        out = [0] * g.n
+        for (u, v), d in zip(g.edges, dirs):
+            if d is not None:
+                t, h = (u, v) if d else (v, u)
+                out[t] |= 1 << h
+        return out
 
     def propagate(trail: list[int]) -> bool:
         while True:
@@ -241,10 +282,10 @@ def reference_search(g: Graph) -> Optional[tuple[Optional[int], ...]]:
             for i, (u, v) in enumerate(g.edges):
                 if dirs[i] is None and desc[u] >> v & 1:
                     forced.append(i)
-                    dirs[i] = FORWARD
+                    dirs[i] = True
                 elif dirs[i] is None and desc[v] >> u & 1:
                     forced.append(i)
-                    dirs[i] = BACKWARD
+                    dirs[i] = False
             if not forced:
                 return True
             trail += forced
@@ -255,7 +296,7 @@ def reference_search(g: Graph) -> Optional[tuple[Optional[int], ...]]:
         if pos == m:
             return True
         i = order[pos]
-        for d in (FORWARD,) if first_branch else (FORWARD, BACKWARD):
+        for d in (True,) if first_branch else (True, False):
             trail = [i]
             dirs[i] = d
             if propagate(trail) and solve(pos + 1, False):
@@ -269,7 +310,8 @@ def reference_search(g: Graph) -> Optional[tuple[Optional[int], ...]]:
 
 def assert_search_matches_reference(g: Graph) -> None:
     o = exists_semi_transitive(g)
-    assert (None if o is None else o.directions) == reference_search(g), g
+    found = None if o is None else tuple(o.has_arc(u, v) for u, v in g.edges)
+    assert found == reference_search(g), g
 
 
 def chosen_graph(n: int, chosen) -> Graph:
