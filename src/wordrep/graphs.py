@@ -95,12 +95,48 @@ class Colouring:
         )
 
 
+def _narrow(adj: tuple[int, ...], domains: list[int], v: int, c: int) -> bool:
+    """Colour v with c in ``domains``; False when some domain runs empty.
+
+    Each domain is a bit mask of the colours still open to an uncoloured
+    vertex (bit c for colour c).  Colour c leaves the domains of v's
+    uncoloured neighbours, those above v; a neighbour left with one colour
+    passes that colour on to its own uncoloured neighbours in turn.
+    """
+    above = -2 << v  # the vertices after v, all uncoloured
+    stack = [(v, c)]
+    while stack:
+        u, c = stack.pop()
+        bit = 1 << c
+        m = adj[u] & above
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            d = domains[w]
+            if d & bit:
+                d ^= bit
+                if not d:
+                    return False
+                domains[w] = d
+                if not d & (d - 1):
+                    stack.append((w, d.bit_length() - 1))
+    return True
+
+
 def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
     """First proper k-colouring in lexicographic order, or None.
 
     Deterministic: vertices in index order, colours tried ascending, vertex 0
     pinned to colour 1.  Branches that would introduce colour c before all of
     1..c-1 appeared are skipped; this never changes the first witness.
+
+    Every uncoloured vertex keeps a domain of open colours, narrowed by
+    ``_narrow`` after each choice, and a branch fails as soon as a domain is
+    empty.  A colour leaves a domain only when the colouring so far, or a
+    neighbour's forced last colour, rules it out of every proper extension,
+    so a pruned branch holds no witness and the first witness is the one the
+    plain lexicographic backtracking finds.
     """
     if k < 0:
         raise ValueError("negative colour count")
@@ -108,28 +144,25 @@ def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
         return Colouring(())
     if k == 0:
         return None
-    assigned = [0] * g.n
+    n, adj = g.n, g.adj
+    assigned = [0] * n
 
-    def extend(v: int, used: int) -> bool:
-        if v == g.n:
+    def extend(v: int, used: int, domains: list[int]) -> bool:
+        if v == n:
             return True
-        taken = 0
-        m = g.adj[v]
-        while m:
-            low = m & -m
-            taken |= 1 << assigned[low.bit_length() - 1]
-            m ^= low
-        top = min(k, used + 1)
-        for c in range(1, top + 1):
-            if taken >> c & 1:
-                continue
-            assigned[v] = c
-            if extend(v + 1, max(used, c)):
-                return True
-        assigned[v] = 0
+        open_ = domains[v] & ((2 << min(k, used + 1)) - 2)
+        while open_:
+            low = open_ & -open_
+            open_ ^= low
+            c = low.bit_length() - 1
+            narrowed = domains.copy()
+            if _narrow(adj, narrowed, v, c):
+                assigned[v] = c
+                if extend(v + 1, max(used, c), narrowed):
+                    return True
         return False
 
-    if extend(0, 0):
+    if extend(0, 0, [(2 << k) - 2] * n):
         return Colouring(tuple(assigned))
     return None
 

@@ -38,19 +38,33 @@ def alternates(w: Sequence[int], x: int, y: int) -> bool:
 
 
 def graph_of_word(w: Sequence[int], n: int) -> Graph:
-    """The graph on 0..n-1 whose edges are exactly the alternating pairs of w."""
-    seen = set()
+    """The graph on 0..n-1 whose edges are exactly the alternating pairs of w.
+
+    One pass over w: ``since[x]`` is the bit mask of the letters seen since
+    x last occurred (-1 before x first occurs).  When x comes again, every
+    letter missing from that mask sits out a gap between two x's, so it does
+    not alternate with x.
+    """
+    since = [-1] * n
+    broken = [0] * n
     for letter in w:
         if not 0 <= letter < n:
             raise ValueError(f"letter {letter} outside alphabet 0..{n - 1}")
-        seen.add(letter)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+        bit = 1 << letter
+        if since[letter] >= 0:
+            broken[letter] |= ~since[letter]
+        since = [s | bit for s in since]
+        since[letter] = 0
+    missing = [x for x in range(n) if since[x] < 0]
+    if missing:
         raise ValueError(f"letters {missing} never occur in the word")
-    edges = [
-        (x, y) for x in range(n) for y in range(x + 1, n) if alternates(w, x, y)
-    ]
-    return Graph.from_edges(n, edges)
+    edges = tuple(
+        (x, y)
+        for x in range(n)
+        for y in range(x + 1, n)
+        if not (broken[x] >> y & 1 or broken[y] >> x & 1)
+    )
+    return Graph(n, edges)
 
 
 def represents(w: Sequence[int], g: Graph) -> bool:

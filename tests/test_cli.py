@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from wordrep.boards import parse_board, parse_triangulation, triangulate
 from wordrep.cli import main
 from wordrep.graphs import Graph, complete, cycle, find_odd_wheel, wheel
 from wordrep.orientations import check_odd_wheel
@@ -303,6 +304,48 @@ def test_decide_outputs_are_byte_identical(source, digest, graph_file, capsys):
         out += capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+
+
+def board_host(spec: str, literal: str) -> Graph:
+    board = parse_board(spec)
+    return triangulate(board, parse_triangulation(board, literal)).graph
+
+
+@pytest.mark.parametrize(
+    "source,chromatic,three",
+    [
+        (
+            lambda: cycle(6),
+            '{"chromatic_number": 2, "colouring": [1, 2, 1, 2, 1, 2]}\n',
+            '{"colourable": true, "colouring": [1, 2, 1, 2, 1, 2], "k": 3}\n',
+        ),
+        (
+            lambda: wheel(6),
+            '{"chromatic_number": 3, "colouring": [1, 2, 1, 2, 1, 2, 3]}\n',
+            '{"colourable": true, "colouring": [1, 2, 1, 2, 1, 2, 3], "k": 3}\n',
+        ),
+        (
+            lambda: word_graph("123456"),
+            '{"chromatic_number": 6, "colouring": [1, 2, 3, 4, 5, 6]}\n',
+            '{"colourable": false, "colouring": null, "k": 3}\n',
+        ),
+        (
+            lambda: board_host("cells 3x3", "//\\//\\//\\"),
+            '{"chromatic_number": 3, "colouring": '
+            "[1, 2, 3, 2, 3, 1, 2, 1, 2, 3, 1, 3, 1, 2, 3, 2]}\n",
+            '{"colourable": true, "colouring": '
+            '[1, 2, 3, 2, 3, 1, 2, 1, 2, 3, 1, 3, 1, 2, 3, 2], "k": 3}\n',
+        ),
+    ],
+    ids=["C6", "W6", "K6-word", "3x3-host"],
+)
+def test_colour_witnesses_are_byte_identical(source, chromatic, three, graph_file, capsys):
+    # The first colouring in lexicographic order is part of the report.
+    path = graph_file(source())
+    assert main(["colour", "--graph", path]) == 0
+    assert capsys.readouterr().out == chromatic
+    assert main(["colour", "--graph", path, "--colours", "3"]) == 0
+    assert capsys.readouterr().out == three
 
 BASE_ARGV = {
     "check-word": ("check-word", "--word", "1212", "--emit-graph"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
     are_isomorphic,
+    bits,
     chromatic_number,
     complete,
     contains_induced,
@@ -103,6 +105,74 @@ class TestColouring:
             assert c.is_proper_for(g)
             assert all(1 <= col <= k for col in c.colours)
 
+
+
+def reference_colouring(g, k):
+    """The plain lexicographic backtracker: vertices in index order, colours
+    ascending up to one more than the largest used, no look-ahead."""
+    if g.n == 0:
+        return ()
+    if k == 0:
+        return None
+    assigned = [0] * g.n
+
+    def extend(v, used):
+        if v == g.n:
+            return True
+        taken = 0
+        for u in bits(g.adj[v]):
+            taken |= 1 << assigned[u]
+        for c in range(1, min(k, used + 1) + 1):
+            if not taken >> c & 1:
+                assigned[v] = c
+                if extend(v + 1, max(used, c)):
+                    return True
+        assigned[v] = 0
+        return False
+
+    return tuple(assigned) if extend(0, 0) else None
+
+
+def assert_same_colourings(graphs_, ks=range(5)):
+    for g in graphs_:
+        for k in ks:
+            found = is_k_colourable(g, k)
+            assert (found and found.colours) == reference_colouring(g, k), (g, k)
+
+
+class TestColouringExactness:
+    """The propagating colouring returns the reference's first witness, and
+    None exactly when the reference finds none."""
+
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            assert_same_colourings(
+                Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+                for mask in range(1 << len(pairs))
+            )
+
+    @given(graphs(min_n=0, max_n=12))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, g):
+        assert_same_colourings([g])
+
+    def test_decide_workload_graphs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        items = workloads.decide_items(1)
+        assert len(items) == 1260
+        assert_same_colourings(
+            Graph.from_edges(*workloads.item_edges(item)) for item in items
+        )
+
+    @pytest.mark.parametrize("spec", ["cells 3x3", "cells 3x3; domino H 1 1"])
+    def test_board_hosts(self, spec):
+        board = parse_board(spec)
+        assert_same_colourings(
+            triangulate(board, t).graph for t in enumerate_triangulations(board)
+        )
 
 class TestInduced:
     def test_identity(self):

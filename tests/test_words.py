@@ -52,6 +52,17 @@ class TestGraphOfWord:
         with pytest.raises(ValueError):
             graph_of_word([0, 0], 2)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edges_are_the_alternating_pairs(self, data):
+        n = data.draw(st.integers(1, 8))
+        extra = data.draw(st.lists(st.integers(0, n - 1), max_size=24))
+        w = data.draw(st.permutations(list(range(n)) + extra))
+        pairs = itertools.combinations(range(n), 2)
+        assert graph_of_word(w, n).edges == tuple(
+            (x, y) for x, y in pairs if alternates(w, x, y)
+        )
+
 
 class TestRepresents:
     def test_square(self):
