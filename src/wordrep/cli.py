@@ -21,8 +21,8 @@ from .boards import parse_board, enumerate_triangulations
 from .catalog import ClosurePolicy, closure_report, forbidden_set, minimal_graphs
 from .dot import embedded_to_dot, graph_to_dot
 from .errors import BudgetExceededError
-from .graphs import Graph, chromatic_number, find_odd_wheel, is_k_colourable
-from .orientations import semi_transitive_certificate
+from .graphs import Graph, chromatic_number, is_k_colourable
+from .orientations import certify, route_of
 from .verify import sweep, verify_theorem, write_report
 from .words import format_word, graph_of_word, parse_word, represents
 
@@ -100,20 +100,18 @@ def cmd_check_word(args) -> int:
 def cmd_decide(args) -> int:
     g = _load_graph(args.graph)
     try:
-        certificate = semi_transitive_certificate(g, args.budget_edges)
+        o, certificate = certify(g, args.budget_edges)
     except BudgetExceededError as exc:
         print("inconclusive")
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    print("yes" if certificate is not None else "no")
+    print("yes" if o is not None else "no")
+    print(f"route: {route_of(certificate)}", file=sys.stderr)
     if args.emit_certificate:
-        if certificate is not None:
-            print(json.dumps(certificate.to_json_obj(), sort_keys=True))
-        elif (found := find_odd_wheel(g)) is not None:
-            # The wheel semi_transitive_certificate found and re-checked; a
-            # "no" from the search has no certificate.
-            hub, rim = found
-            print(json.dumps({"odd_wheel": [hub, *rim]}))
+        if o is not None:
+            print(json.dumps(o.to_json_obj(), sort_keys=True))
+        elif certificate is not None:  # a searched "no" has none
+            print(json.dumps(certificate))
     return EXIT_OK
 
 
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colour", help="chromatic number or k-colourability")
     p.add_argument("--graph", required=True)
-    p.add_argument("--colours", type=int, default=None)
+    p.add_argument("--colours", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_colour)
 
     p = sub.add_parser("enumerate", help="list triangulation literals of a board")

@@ -3,10 +3,11 @@
 An orientation is semi-transitive when it is acyclic and has no shortcut: a
 directed path v1 -> ... -> vk (k >= 4) whose closing arc v1 -> vk is present
 while some arc vi -> vj (i < j) is missing.  A graph is word-representable
-exactly when it admits a semi-transitive orientation, which is what
-``decide_word_representable`` computes.  ``check_odd_wheel`` re-checks an
-induced odd wheel as proof that a graph is not word-representable, without
-any orientation search.
+exactly when it admits a semi-transitive orientation.  ``certify`` is the one
+decision procedure: it decides by an induced odd wheel, a 3-colouring or the
+exhaustive search, in that order, and returns the verdict's certificate.
+``check_odd_wheel`` re-checks an induced odd wheel as proof that a graph is
+not word-representable, without any orientation search.
 """
 
 from __future__ import annotations
@@ -371,37 +372,62 @@ def exists_semi_transitive(
     return None
 
 
-def semi_transitive_certificate(
+def certify(
     g: Graph, edge_budget: Optional[int] = None
-) -> Optional[Orientation]:
-    """A semi-transitive orientation if one exists, else None.
+) -> tuple[Optional[Orientation], Optional[dict]]:
+    """The decision procedure: a semi-transitive orientation or None, and the
+    certificate of the verdict.
 
     Three routes, in this order.  An induced odd wheel from ``find_odd_wheel``,
-    re-checked by ``check_odd_wheel``, gives None: such a graph is not
-    word-representable, and it is not 3-colourable either, so the colouring
-    would fail.  A proper 3-colouring gives its colour-level orientation; a
-    3-colourable graph has only bipartite neighbourhoods, so the finder skips
-    each of its hubs after one parity test.  Otherwise the exhaustive search
-    decides, within ``edge_budget``.  The orientation of either "yes" route
-    is re-checked with ``is_semi_transitive`` before it is returned.
+    re-checked by ``check_odd_wheel``, gives ``(None, {"odd_wheel": (hub,
+    *rim)})``: such a graph is not word-representable, and not 3-colourable
+    either, since an odd wheel needs four colours.  A proper 3-colouring gives
+    its colour-level orientation and ``{"colouring": [...]}``; a 3-colourable
+    graph has only bipartite neighbourhoods, so the finder skips each of its
+    hubs after one parity test.  Otherwise the exhaustive search decides,
+    within ``edge_budget``: ``(o, {"orientation": ...})`` for its orientation
+    ``o``, or ``(None, None)``, since a searched "no" has no certificate.  The
+    orientation of either "yes" route is re-checked with
+    ``is_semi_transitive`` before it is returned, a rejected wheel raises
+    ``AssertionError``, and ``BudgetExceededError`` propagates.
     """
     found = find_odd_wheel(g)
     if found is not None:
-        if not check_odd_wheel(g, *found):
+        hub, rim = found
+        if not check_odd_wheel(g, hub, rim):
             raise AssertionError("odd wheel failed its re-check")
-        return None
+        return None, {"odd_wheel": (hub, *rim)}
     colouring = is_k_colourable(g, 3)
     if colouring is not None:
         o = orientation_from_colouring(g, colouring)
+        certificate = {"colouring": list(colouring.colours)}
         route = "colour-level orientation"
     else:
         o = exists_semi_transitive(g, edge_budget)
         if o is None:
-            return None
+            return None, None
+        certificate = {"orientation": o.to_json_obj()}
         route = "searched orientation"
     if not is_semi_transitive(o):
         raise AssertionError(f"{route} failed the semi-transitivity self-check")
-    return o
+    return o, certificate
+
+
+def route_of(certificate: Optional[dict]) -> str:
+    """The route a ``certify`` certificate came from: odd_wheel, colouring or
+    search (a searched "yes" carries its orientation, a searched "no" nothing)."""
+    if certificate is None or "orientation" in certificate:
+        return "search"
+    (kind,) = certificate
+    return kind
+
+
+def semi_transitive_certificate(
+    g: Graph, edge_budget: Optional[int] = None
+) -> Optional[Orientation]:
+    """A re-checked semi-transitive orientation if one exists, else None: the
+    orientation of ``certify``, which says which route decided."""
+    return certify(g, edge_budget)[0]
 
 
 def decide_word_representable(g: Graph, edge_budget: Optional[int] = None) -> bool:

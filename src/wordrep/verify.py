@@ -1,11 +1,14 @@
 """Exhaustive desk-scale checks of the colourability/representability equivalence.
 
-Every triangulation of a board gets a Classification with three independent
-verdicts: proper 3-colourability, word-representability (decided through a
-re-checked certificate, never through the forbidden catalog), and the
-presence of a forbidden induced pattern.  Sweeps assert that the first two
-verdicts agree and that the third tracks non-3-colourability, and they refuse
-to claim exhaustiveness whenever any search ran out of budget.
+Every triangulation of a board gets a Classification with three verdicts
+from one certified route plus the catalog: ``orientations.certify`` decides
+word-representability and, through its re-checked certificate (a colouring,
+an odd wheel or the search), proper 3-colourability, never through the
+forbidden catalog; the catalog matcher then reports the presence of a
+forbidden induced pattern.  Sweeps assert that the first two verdicts agree
+(a searched "yes" on a host with no 3-colouring would break it) and that the
+third tracks non-3-colourability, and they refuse to claim exhaustiveness
+whenever any search ran out of budget.
 """
 
 from __future__ import annotations
@@ -39,18 +42,12 @@ from .errors import BudgetExceededError
 from .graphs import (
     Graph,
     are_isomorphic,
-    find_odd_wheel,
     induced,
     is_k_colourable,
     refinement_hash,
     wheel,
 )
-from .orientations import (
-    check_odd_wheel,
-    exists_semi_transitive,
-    is_semi_transitive,
-    orientation_from_colouring,
-)
+from .orientations import certify, exists_semi_transitive, route_of
 
 YES, NO, BUDGET = "yes", "no", "budget"
 
@@ -82,10 +79,7 @@ class Classification:
         odd_wheel, search or budget."""
         if self.word_representable == BUDGET:
             return "budget"
-        if self.certificate is None or "orientation" in self.certificate:
-            return "search"
-        (kind,) = self.certificate
-        return kind
+        return route_of(self.certificate)
 
 
 @dataclass(frozen=True)
@@ -190,59 +184,34 @@ def classify(
 ) -> Classification:
     """Fill all three verdicts for one triangulation graph.
 
-    Word-representability takes the first of three routes that applies: a
-    proper 3-colouring gives "yes" (its orientation is still re-checked); an
-    induced odd wheel W_m (odd m >= 5), found by ``find_odd_wheel`` and
-    accepted by ``check_odd_wheel``, gives "no"; otherwise the exhaustive
-    orientation search decides, within its default budget.  The colouring
-    goes first, unlike in ``semi_transitive_certificate``, because its
-    verdict is reported either way.  The forbidden-pattern verdict is
-    computed independently of all three.
+    One ``certify`` call decides word-representability, within the search's
+    default budget (an overrun is recorded as "budget"), and its certificate
+    proves 3-colourability too: a colouring proves it, a re-checked odd wheel
+    disproves it, and a host that reaches the search has no 3-colouring.  The
+    forbidden-pattern verdict is computed independently of the certificate.
     """
     g = e.graph
-    colouring = is_k_colourable(g, 3)
-    # Only 3-colourable hosts use the cache: each "no" needs its own wheel.
-    cached_hit_free = (
-        cache.lookup(g) if cache is not None and colouring is not None else None
-    )
-    odd_wheel = find_odd_wheel(g) if colouring is None else None
-
-    certificate: Optional[dict] = None
-    if colouring is not None:
-        o = orientation_from_colouring(g, colouring)
-        if not is_semi_transitive(o):
-            raise AssertionError("3-colouring certificate failed self-check")
-        wr = YES
-        certificate = {"colouring": list(colouring.colours)}
-    elif odd_wheel is not None and check_odd_wheel(g, *odd_wheel):
-        hub, rim = odd_wheel
-        wr = NO
-        certificate = {"odd_wheel": (hub, *rim)}
+    try:
+        o, certificate = certify(g)
+    except BudgetExceededError:
+        wr, certificate = BUDGET, None
     else:
-        try:
-            o = exists_semi_transitive(g)
-        except BudgetExceededError:
-            wr = BUDGET
-        else:
-            if o is None:
-                wr = NO
-            else:
-                if not is_semi_transitive(o):
-                    raise AssertionError("search certificate failed re-validation")
-                wr = YES
-                certificate = {"orientation": o.to_json_obj()}
+        wr = YES if o is not None else NO
+    colourable = certificate is not None and "colouring" in certificate
+    # Only 3-colourable hosts use the cache: each "no" needs its own wheel.
+    cached_hit_free = cache.lookup(g) if cache is not None and colourable else None
 
     # A host isomorphic to a cached hit-free one needs only the embedded scan.
     hit = find_forbidden(e, s, embedded_only=bool(cached_hit_free))
     hit_name = hit.name if hit is not None else None
 
-    if cache is not None and colouring is not None and cached_hit_free is None:
+    if cache is not None and colourable and cached_hit_free is None:
         cache.store(g, hit_name is None)
 
     return Classification(
         board=board_id,
         triangulation=triangulation,
-        three_colourable=colouring is not None,
+        three_colourable=colourable,
         word_representable=wr,
         forbidden_hit=hit_name,
         embedded_hit=hit.name if hit is not None and hit.via_embedded else None,

@@ -90,11 +90,12 @@ class TestDecide:
 
     def test_budget_is_inconclusive(self, graph_file):
         # K4 has neither a 3-colouring nor an odd wheel: only the search decides.
-        rc, out, _ = run_cli(
+        rc, out, err = run_cli(
             "decide", "--graph", graph_file(complete(4)), "--budget-edges", "3"
         )
         assert rc == 3
         assert out.strip() == "inconclusive"
+        assert err.startswith("budget: ") and "route" not in err
 
     def test_negative_budget_is_usage_error(self, graph_file, capsys):
         assert main(["decide", "--graph", graph_file(wheel(5)), "--budget-edges", "-1"]) == 2
@@ -130,6 +131,19 @@ class TestDecide:
         assert rc == 0
         assert out == "no\n"
 
+    @pytest.mark.parametrize(
+        "g,verdict,route",
+        [
+            (wheel(5), "no", "odd_wheel"),
+            (cycle(6), "yes", "colouring"),
+            (complete(4), "yes", "search"),
+        ],
+        ids=["W5", "C6", "K4"],
+    )
+    def test_route_goes_to_stderr(self, graph_file, capsys, g, verdict, route):
+        assert main(["decide", "--graph", graph_file(g)]) == 0
+        assert capsys.readouterr() == (f"{verdict}\n", f"route: {route}\n")
+
 
 class TestColour:
     def test_chromatic_number(self, graph_file):
@@ -142,6 +156,12 @@ class TestColour:
         assert rc == 0
         obj = json.loads(out)
         assert obj == {"k": 3, "colourable": False, "colouring": None}
+
+    def test_negative_colour_count_is_usage_error(self, graph_file, capsys):
+        assert main(["colour", "--graph", graph_file(wheel(5)), "--colours", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --colours: must be at least 0, got -1" in err
 
 
 class TestEnumerate:

@@ -12,7 +12,6 @@ from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
     are_isomorphic,
-    bits,
     chromatic_number,
     complete,
     contains_induced,
@@ -25,6 +24,8 @@ from wordrep.graphs import (
     wheel,
 )
 from wordrep.orientations import check_odd_wheel
+
+from reference import reference_colouring
 
 
 @st.composite
@@ -104,33 +105,6 @@ class TestColouring:
         if c is not None:
             assert c.is_proper_for(g)
             assert all(1 <= col <= k for col in c.colours)
-
-
-
-def reference_colouring(g, k):
-    """The plain lexicographic backtracker: vertices in index order, colours
-    ascending up to one more than the largest used, no look-ahead."""
-    if g.n == 0:
-        return ()
-    if k == 0:
-        return None
-    assigned = [0] * g.n
-
-    def extend(v, used):
-        if v == g.n:
-            return True
-        taken = 0
-        for u in bits(g.adj[v]):
-            taken |= 1 << assigned[u]
-        for c in range(1, min(k, used + 1) + 1):
-            if not taken >> c & 1:
-                assigned[v] = c
-                if extend(v + 1, max(used, c)):
-                    return True
-        assigned[v] = 0
-        return False
-
-    return tuple(assigned) if extend(0, 0) else None
 
 
 def assert_same_colourings(graphs_, ks=range(5)):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordrep import orientations
+from wordrep.boards import enumerate_triangulations, parse_board, triangulate
+from wordrep.catalog import ClosurePolicy, forbidden_set
 from wordrep.errors import BudgetExceededError
 from wordrep.graphs import (
     Colouring,
@@ -24,6 +27,7 @@ from wordrep.orientations import (
     Orientation,
     _closure,
     _shortcut,
+    certify,
     check_odd_wheel,
     cycle_is_comparability,
     decide_word_representable,
@@ -35,6 +39,9 @@ from wordrep.orientations import (
     orientation_from_colouring,
     semi_transitive_certificate,
 )
+from wordrep.verify import classify
+
+from reference import reference_colouring
 
 
 def transitive_tournament(n: int) -> Orientation:
@@ -420,6 +427,86 @@ class TestDecide:
         o = semi_transitive_certificate(complete(3))
         obj = o.to_json_obj()
         assert all(len(entry) == 3 and entry[2] in ("uv", "vu") for entry in obj["edges"])
+
+
+def masks(o: Optional[Orientation]) -> Optional[tuple[int, ...]]:
+    return None if o is None else o.out
+
+
+def colour_first(g: Graph) -> tuple[Optional[Orientation], Optional[dict]]:
+    """The routes ``verify.classify`` took before ``certify``: a 3-colouring,
+    then a re-checked odd wheel, then the search, with their certificates.
+    The colouring is the reference backtracker's."""
+    colours = reference_colouring(g, 3)
+    if colours is not None:
+        return orientation_from_colouring(g, Colouring(colours)), {"colouring": list(colours)}
+    found = find_odd_wheel(g)
+    if found is not None and check_odd_wheel(g, *found):
+        hub, rim = found
+        return None, {"odd_wheel": (hub, *rim)}
+    o = exists_semi_transitive(g)
+    return o, None if o is None else {"orientation": o.to_json_obj()}
+
+
+def wheel_first(g: Graph) -> Optional[Orientation]:
+    """The routes ``semi_transitive_certificate`` took before ``certify``: a
+    re-checked odd wheel, then a 3-colouring, then the search."""
+    found = find_odd_wheel(g)
+    if found is not None:
+        assert check_odd_wheel(g, *found)
+        return None
+    colours = reference_colouring(g, 3)
+    if colours is not None:
+        return orientation_from_colouring(g, Colouring(colours))
+    return exists_semi_transitive(g)
+
+
+def assert_certified_as_before(g: Graph) -> bool:
+    """``certify`` agrees with both former route orders; returns whether its
+    certificate is a colouring, after checking that against ``is_k_colourable``."""
+    o, certificate = certify(g)
+    expected_o, expected_certificate = colour_first(g)
+    assert (masks(o), certificate) == (masks(expected_o), expected_certificate), g
+    assert masks(o) == masks(wheel_first(g)), g
+    colourable = certificate is not None and "colouring" in certificate
+    assert colourable == (is_k_colourable(g, 3) is not None), g
+    return colourable
+
+
+class TestCertify:
+    """One wheel-first ``certify`` gives the orientation and certificate of
+    both former route orders: no 3-colourable graph holds an odd wheel."""
+
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        for n in range(6):
+            for chosen in itertools.product((False, True), repeat=n * (n - 1) // 2):
+                assert_certified_as_before(chosen_graph(n, chosen))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, data):
+        n = data.draw(st.integers(1, 9))
+        size = n * (n - 1) // 2
+        chosen = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        assert_certified_as_before(chosen_graph(n, chosen))
+
+    def test_decide_workload_graphs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        items = workloads.decide_items(1)
+        assert len(items) == 1260
+        for item in items:
+            assert_certified_as_before(Graph.from_edges(*workloads.item_edges(item)))
+
+    @pytest.mark.parametrize("spec", ["cells 3x3", "cells 3x3; domino H 1 1"])
+    def test_board_hosts(self, spec):
+        board = parse_board(spec)
+        s = forbidden_set(ClosurePolicy.EXTENDED)
+        for t in enumerate_triangulations(board):
+            host = triangulate(board, t)
+            colourable = assert_certified_as_before(host.graph)
+            assert classify(host, s).three_colourable == colourable
 
 
 def without_edge(g: Graph, u: int, v: int) -> Graph:

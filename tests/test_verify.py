@@ -67,7 +67,7 @@ class TestClassify:
 
     def test_budget_recorded_not_guessed(self, monkeypatch):
         # Without a wheel the host reaches the budgeted search.
-        monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: None)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: None)
         monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         b = parse_board("cells 2x2; domino H 0 0")
         host = triangulate(b, parse_triangulation(b, "//F"))
@@ -96,9 +96,15 @@ class TestClassify:
         "found", [None, (0, (1, 2, 3, 4, 5))], ids=["no-wheel", "rejected-wheel"]
     )
     def test_search_decides_without_an_accepted_wheel(self, monkeypatch, found):
-        monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: found)
+        # Without a wheel the search decides; a wheel that fails its
+        # re-check is a fault, never a reason to fall back to the search.
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: found)
         b = Board(2, 2)
         host = triangulate(b, parse_triangulation(b, "/\\//"))
+        if found is not None:
+            with pytest.raises(AssertionError, match="odd wheel"):
+                classify(host, EXTENDED)
+            return
         c = classify(host, EXTENDED)
         assert (c.word_representable, c.certificate, c.route) == ("no", None, "search")
 
@@ -141,7 +147,7 @@ class TestVerifyTheorem:
             verify_theorem(board)
 
     def test_budget_makes_sweep_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(verify_module, "find_odd_wheel", lambda g: None)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: None)
         monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         report, _ = verify_theorem(parse_board("cells 2x2; domino H 0 0"))
         assert report.budget_exceeded == 4
@@ -196,15 +202,15 @@ class TestVerifyTheorem:
 
 
 def miscolour(monkeypatch, board: Board, literal: str):
-    """Make ``wordrep.verify.is_k_colourable`` call one host of ``board``
+    """Make ``wordrep.orientations.is_k_colourable`` call one host of ``board``
     not 3-colourable."""
     target = triangulate(board, parse_triangulation(board, literal)).graph
-    real = verify_module.is_k_colourable
+    real = orientations_module.is_k_colourable
 
     def wrong(g, k):
         return None if g == target else real(g, k)
 
-    monkeypatch.setattr(verify_module, "is_k_colourable", wrong)
+    monkeypatch.setattr(orientations_module, "is_k_colourable", wrong)
 
 
 class TestFlip:
