@@ -21,12 +21,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceededError
 from .graphs import Graph
 
 Coord = tuple[int, int]
+Edge = tuple[int, int]  # vertex ids u < v
 
 
 class Axis(str, Enum):
@@ -269,48 +270,77 @@ def _diag_endpoints(cell: Coord, diag: Diag) -> tuple[Coord, Coord]:
     return ((r, c), (r + 1, c + 1))
 
 
-def _grid_edges(board: Board) -> list[tuple[Coord, Coord]]:
-    skipped = {frozenset(d.interior_edge()) for d in board.dominoes}
-    edges = []
-    for r in range(board.vertex_rows):
-        for c in range(board.vertex_cols):
-            if c + 1 < board.vertex_cols:
-                e = ((r, c), (r, c + 1))
-                if frozenset(e) not in skipped:
-                    edges.append(e)
-            if r + 1 < board.vertex_rows:
-                e = ((r, c), (r + 1, c))
-                if frozenset(e) not in skipped:
-                    edges.append(e)
-    return edges
+def _layout(board: Board) -> tuple[
+    tuple[Coord, ...],
+    list[Edge],
+    list[tuple[Edge, Edge]],
+    list[tuple[tuple[Edge, ...], tuple[Edge, ...]]],
+]:
+    """Everything a host takes from its board alone, as sorted vertex-id pairs.
 
+    The coordinates (row-major), the sorted base edges (every unit grid edge
+    except each domino's interior edge), each unit cell's (slash, backslash)
+    diagonal and each domino's (FALL, RISE) chord triple.  This is the one
+    place where cells, diagonals and chords become edges.
+    """
+    w = board.vertex_cols
 
-def _embed(board: Board, coord_edges: list[tuple[Coord, Coord]]) -> EmbeddedGraph:
-    coords = tuple(
-        (r, c) for r in range(board.vertex_rows) for c in range(board.vertex_cols)
-    )
-    g = Graph.from_edges(
-        board.vertex_count,
-        [(board.vertex_id(a), board.vertex_id(b)) for a, b in coord_edges],
-    )
-    return EmbeddedGraph(g, coords)
+    def pair(a: Coord, b: Coord) -> Edge:
+        u, v = board.vertex_id(a), board.vertex_id(b)
+        return (u, v) if u < v else (v, u)
+
+    coords = tuple((r, c) for r in range(board.vertex_rows) for c in range(w))
+    skipped = {pair(*d.interior_edge()) for d in board.dominoes}
+    grid = [(u, u + 1) for u, (_, c) in enumerate(coords) if c + 1 < w]
+    grid += [(u, u + w) for u in range(board.vertex_count - w)]
+    base = sorted(e for e in grid if e not in skipped)
+    cells = [
+        (pair(*_diag_endpoints(cell, Diag.SLASH)), pair(*_diag_endpoints(cell, Diag.BACKSLASH)))
+        for cell in board.unit_cells()
+    ]
+    chords = [
+        (
+            tuple(pair(a, b) for a, b in d.chords(DominoPattern.FALL)),
+            tuple(pair(a, b) for a, b in d.chords(DominoPattern.RISE)),
+        )
+        for d in board.dominoes
+    ]
+    return coords, base, cells, chords
 
 
 def base_graph(board: Board) -> EmbeddedGraph:
     """The untriangulated vertex graph: all unit grid edges except domino interiors."""
-    return _embed(board, _grid_edges(board))
+    coords, base, _, _ = _layout(board)
+    return EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords)
+
+
+def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
+    """Lay the board out once; ``build(t)`` then gives the host of triangulation t.
+
+    A host is the board's base edges plus one diagonal per unit cell and
+    three chords per domino, sorted; ``Graph`` and ``EmbeddedGraph`` still
+    validate every host they are given.
+    """
+    coords, base, cells, chords = _layout(board)
+    n = board.vertex_count
+
+    def build(t: Triangulation) -> EmbeddedGraph:
+        if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(chords):
+            raise ValueError("triangulation shape does not match the board")
+        edges = base + [
+            slash if diag is Diag.SLASH else backslash
+            for (slash, backslash), diag in zip(cells, t.cell_diag)
+        ]
+        for (fall, rise), pattern in zip(chords, t.domino_pattern):
+            edges += fall if pattern is DominoPattern.FALL else rise
+        edges.sort()
+        return EmbeddedGraph(Graph(n, tuple(edges)), coords)
+
+    return build
 
 
 def triangulate(board: Board, t: Triangulation) -> EmbeddedGraph:
-    cells = board.unit_cells()
-    if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(board.dominoes):
-        raise ValueError("triangulation shape does not match the board")
-    edges = _grid_edges(board)
-    for cell, diag in zip(cells, t.cell_diag):
-        edges.append(_diag_endpoints(cell, diag))
-    for domino, pattern in zip(board.dominoes, t.domino_pattern):
-        edges.extend(domino.chords(pattern))
-    return _embed(board, edges)
+    return host_builder(board)(t)
 
 
 def enumerate_triangulations(board: Board) -> Iterator[Triangulation]:

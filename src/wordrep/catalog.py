@@ -403,7 +403,10 @@ def corner_closed_obstructions() -> tuple[ForbiddenMember, ...]:
 
 
 def find_forbidden(
-    host: EmbeddedGraph, s: ForbiddenSet, embedded_only: bool = False
+    host: EmbeddedGraph,
+    s: ForbiddenSet,
+    embedded_only: bool = False,
+    odd: Optional[int] = None,
 ) -> Optional[ForbiddenHit]:
     """First forbidden pattern induced in the host, in deterministic member order.
 
@@ -422,10 +425,12 @@ def find_forbidden(
     chordless C_m, on a host vertex of degree at least m whose neighbourhood
     is not bipartite.  A host without such a vertex contains no pattern, and
     a matching placement already puts its hub on one, so the anchor would
-    change no first hit of the table.
+    change no first hit of the table.  ``odd`` is ``odd_links`` of the host,
+    computed here unless the caller has it.
     """
     g = host.graph
-    odd = odd_links(g)
+    if odd is None:
+        odd = odd_links(g)
     if not odd:
         return None
     adj = sum(a << (u * g.n) for u, a in enumerate(g.adj))

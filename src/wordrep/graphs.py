@@ -349,11 +349,16 @@ def _close_odd_cycle(
     return False
 
 
-def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
+def find_odd_wheel(
+    g: Graph, odd: Optional[int] = None
+) -> Optional[tuple[int, tuple[int, ...]]]:
     """(hub, rim) of an induced odd wheel W_m (odd m >= 5), or None.
 
     Hubs are tried in index order; a hub with fewer than 5 neighbours or a
-    bipartite neighbourhood is skipped.  Inside the neighbourhood of each
+    bipartite neighbourhood is skipped.  ``odd``, when given, is
+    ``odd_links(g)`` and answers the parity test for every hub; without it
+    each hub is tested as it is reached, so the finder stops at its first
+    wheel without testing the hubs after it.  Inside the neighbourhood of each
     other hub, every neighbour s is tried in ascending order as the rim's
     lowest vertex: a depth-first search over the induced paths from s
     through the vertices above s, stepping first to s's lower neighbours,
@@ -366,8 +371,9 @@ def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
     whole cycle.
     """
     adj = g.adj
-    for hub, ring in enumerate(adj):
-        if ring.bit_count() < 5 or not _odd_link(adj, ring):
+    for hub in range(g.n) if odd is None else bits(odd):
+        ring = adj[hub]
+        if ring.bit_count() < 5 or (odd is None and not _odd_link(adj, ring)):
             continue
         while ring.bit_count() >= 5:
             first = ring & -ring

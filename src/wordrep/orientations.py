@@ -373,7 +373,7 @@ def exists_semi_transitive(
 
 
 def certify(
-    g: Graph, edge_budget: Optional[int] = None
+    g: Graph, edge_budget: Optional[int] = None, odd: Optional[int] = None
 ) -> tuple[Optional[Orientation], Optional[dict]]:
     """The decision procedure: a semi-transitive orientation or None, and the
     certificate of the verdict.
@@ -389,9 +389,10 @@ def certify(
     ``o``, or ``(None, None)``, since a searched "no" has no certificate.  The
     orientation of either "yes" route is re-checked with
     ``is_semi_transitive`` before it is returned, a rejected wheel raises
-    ``AssertionError``, and ``BudgetExceededError`` propagates.
+    ``AssertionError``, and ``BudgetExceededError`` propagates.  ``odd``, the
+    mask of ``odd_links(g)`` when the caller has it, is handed to the finder.
     """
-    found = find_odd_wheel(g)
+    found = find_odd_wheel(g, odd)
     if found is not None:
         hub, rim = found
         if not check_odd_wheel(g, hub, rim):

@@ -27,8 +27,8 @@ from .boards import (
     domino_placements,
     enumerate_triangulations,
     flip_domino_pattern,
+    host_builder,
     transform_triangulation,
-    triangulate,
 )
 from .catalog import (
     ClosurePolicy,
@@ -44,6 +44,7 @@ from .graphs import (
     are_isomorphic,
     induced,
     is_k_colourable,
+    odd_links,
     refinement_hash,
     wheel,
 )
@@ -188,11 +189,14 @@ def classify(
     default budget (an overrun is recorded as "budget"), and its certificate
     proves 3-colourability too: a colouring proves it, a re-checked odd wheel
     disproves it, and a host that reaches the search has no 3-colouring.  The
-    forbidden-pattern verdict is computed independently of the certificate.
+    forbidden-pattern verdict is computed independently of the certificate;
+    the wheel finder and the catalog share one ``odd_links`` mask of the
+    graph, so each neighbourhood's parity is tested once per host.
     """
     g = e.graph
+    odd = odd_links(g)
     try:
-        o, certificate = certify(g)
+        o, certificate = certify(g, odd=odd)
     except BudgetExceededError:
         wr, certificate = BUDGET, None
     else:
@@ -202,7 +206,7 @@ def classify(
     cached_hit_free = cache.lookup(g) if cache is not None and colourable else None
 
     # A host isomorphic to a cached hit-free one needs only the embedded scan.
-    hit = find_forbidden(e, s, embedded_only=bool(cached_hit_free))
+    hit = find_forbidden(e, s, embedded_only=bool(cached_hit_free), odd=odd)
     hit_name = hit.name if hit is not None else None
 
     if cache is not None and colourable and cached_hit_free is None:
@@ -227,9 +231,10 @@ def _classify_board_range(
     s = forbidden_set(policy)
     cache = VerdictCache()
     board_id = board.spec_string()
+    build = host_builder(board)
     return [
         classify(
-            triangulate(board, t),
+            build(t),
             s,
             board_id=board_id,
             triangulation=t.literal(),

@@ -3,7 +3,8 @@ definitions rather than from the library's optimised code."""
 
 from __future__ import annotations
 
-from wordrep.graphs import bits
+from wordrep.boards import Diag, EmbeddedGraph
+from wordrep.graphs import Graph, bits
 
 
 def reference_colouring(g, k):
@@ -30,3 +31,53 @@ def reference_colouring(g, k):
         return False
 
     return tuple(assigned) if extend(0, 0) else None
+
+
+def _reference_grid_edges(board):
+    skipped = {frozenset(d.interior_edge()) for d in board.dominoes}
+    edges = []
+    for r in range(board.vertex_rows):
+        for c in range(board.vertex_cols):
+            if c + 1 < board.vertex_cols:
+                e = ((r, c), (r, c + 1))
+                if frozenset(e) not in skipped:
+                    edges.append(e)
+            if r + 1 < board.vertex_rows:
+                e = ((r, c), (r + 1, c))
+                if frozenset(e) not in skipped:
+                    edges.append(e)
+    return edges
+
+
+def _reference_embed(board, coord_edges):
+    coords = tuple(
+        (r, c) for r in range(board.vertex_rows) for c in range(board.vertex_cols)
+    )
+    g = Graph.from_edges(
+        board.vertex_count,
+        [(board.vertex_id(a), board.vertex_id(b)) for a, b in coord_edges],
+    )
+    return EmbeddedGraph(g, coords)
+
+
+def reference_base_graph(board):
+    """All unit grid edges except domino interiors, built edge by edge in
+    coordinates and normalised by ``Graph.from_edges``."""
+    return _reference_embed(board, _reference_grid_edges(board))
+
+
+def reference_triangulate(board, t):
+    """The host of one triangulation, built per host from coordinates: the
+    grid edges, one diagonal per unit cell and the chords of each domino."""
+    cells = board.unit_cells()
+    if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(board.dominoes):
+        raise ValueError("triangulation shape does not match the board")
+    edges = _reference_grid_edges(board)
+    for (r, c), diag in zip(cells, t.cell_diag):
+        if diag is Diag.SLASH:
+            edges.append(((r + 1, c), (r, c + 1)))
+        else:
+            edges.append(((r, c), (r + 1, c + 1)))
+    for domino, pattern in zip(board.dominoes, t.domino_pattern):
+        edges.extend(domino.chords(pattern))
+    return _reference_embed(board, edges)

@@ -5,13 +5,16 @@ import pytest
 from wordrep.boards import (
     Axis,
     Board,
+    Diag,
     Domino,
     DominoPattern,
     Symmetry,
+    Triangulation,
     base_graph,
     domino_placements,
     enumerate_triangulations,
     flip_domino_pattern,
+    host_builder,
     parse_board,
     parse_triangulation,
     transform,
@@ -21,6 +24,8 @@ from wordrep.boards import (
 )
 from wordrep.errors import BudgetExceededError
 from wordrep.graphs import are_isomorphic, chromatic_number, cycle, induced, is_k_colourable
+
+from reference import reference_base_graph, reference_triangulate
 
 
 class TestBoardType:
@@ -132,6 +137,41 @@ class TestTriangulate:
         b = Board(2, 2)
         with pytest.raises(ValueError):
             parse_triangulation(b, "///")
+
+
+class TestHostBuilder:
+    BOARDS = [
+        "cells 1x1",
+        "cells 1x4",
+        "cells 4x1",
+        "cells 3x3",
+        "cells 3x3; domino H 1 1",
+        "cells 3x3; domino V 0 1",
+        "cells 4x3; domino V 1 1",
+        "cells 2x5; domino H 0 3",
+        "cells 2x3; domino H 0 0; domino V 0 2",
+    ]
+
+    @pytest.mark.parametrize("spec", BOARDS)
+    def test_every_host_equals_the_per_host_reference(self, spec):
+        b = parse_board(spec, exploratory=True)
+        build = host_builder(b)
+        for t in enumerate_triangulations(b):
+            assert build(t) == reference_triangulate(b, t), t.literal()
+
+    @pytest.mark.parametrize("spec", BOARDS)
+    def test_base_graph_equals_the_reference(self, spec):
+        b = parse_board(spec, exploratory=True)
+        assert base_graph(b) == reference_base_graph(b)
+
+    def test_shape_mismatch(self):
+        build = host_builder(parse_board("cells 2x2; domino H 0 0"))
+        for t in (
+            Triangulation((Diag.SLASH,) * 3, (DominoPattern.FALL,)),
+            Triangulation((Diag.SLASH,) * 2, ()),
+        ):
+            with pytest.raises(ValueError, match="does not match the board"):
+                build(t)
 
 
 class TestEnumeration:

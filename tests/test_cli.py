@@ -284,10 +284,11 @@ class TestVerify:
     "argv,digest",
     [
         (["sweep", "3x3"], "6c275d8e733f044b"),
+        (["sweep", "3x3", "--jobs", "2"], "6c275d8e733f044b"),
         (["sweep", "3x3", "--policy", "literal"], "cccd9b582c4e731a"),
         (["catalog", "--emit", "json"], "76583e50e332ab5e"),
     ],
-    ids=["sweep", "sweep-literal", "catalog-json"],
+    ids=["sweep", "sweep-jobs-2", "sweep-literal", "catalog-json"],
 )
 def test_reports_are_byte_identical(argv, digest, capsys):
     # A deliberate change to a report's content updates its digest here.

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordrep.boards import Board, enumerate_triangulations, parse_board, triangulate
+from wordrep.boards import (
+    Board,
+    enumerate_triangulations,
+    parse_board,
+    parse_triangulation,
+    triangulate,
+)
+import wordrep.graphs as graphs_module
 from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
@@ -354,6 +361,29 @@ class TestFindOddWheel:
             hub, rim = found
             assert check_odd_wheel(g, hub, rim)
             assert rim[0] == min(rim) and rim[1] < rim[-1]
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=200, deadline=None)
+    def test_given_odd_links_finds_the_same_wheel(self, g):
+        assert find_odd_wheel(g, odd_links(g)) == find_odd_wheel(g)
+
+    def test_parity_tests_stop_at_the_first_odd_hub(self, monkeypatch):
+        # Without a mask, only the hubs of degree >= 5 up to the wheel's own
+        # are tested; with one, none is.
+        board = parse_board("cells 3x3")
+        # Hubs of degree >= 5 are 5, 6, 9, 10 and 14; the wheel's hub is 9.
+        g = triangulate(board, parse_triangulation(board, "///////\\/")).graph
+        tested = []
+        real = graphs_module._odd_link
+        monkeypatch.setattr(
+            graphs_module, "_odd_link", lambda adj, ring: tested.append(ring) or real(adj, ring)
+        )
+        hub, _ = find_odd_wheel(g)
+        assert tested == [g.adj[v] for v in range(hub + 1) if g.degree(v) >= 5]
+        assert len(tested) < sum(g.degree(v) >= 5 for v in range(g.n))
+        odd = odd_links(g)
+        tested.clear()
+        assert find_odd_wheel(g, odd)[0] == hub and not tested
 
     @pytest.mark.parametrize(
         "spec", ["cells 3x3", "cells 3x3; domino H 0 0", "cells 3x3; domino H 1 1"]

@@ -19,6 +19,7 @@ from wordrep.boards import (
 from wordrep.catalog import ClosurePolicy, forbidden_set, minimal_graphs
 from wordrep.cli import main
 from wordrep.graphs import Colouring
+import wordrep.graphs as graphs_module
 import wordrep.orientations as orientations_module
 from wordrep.orientations import (
     DEFAULT_EDGE_BUDGET,
@@ -44,6 +45,20 @@ EXTENDED = forbidden_set(ClosurePolicy.EXTENDED)
 
 
 class TestClassify:
+    @pytest.mark.parametrize("literal", ["/" * 9, "///////\\/"], ids=["colouring", "odd-wheel"])
+    def test_one_parity_test_per_vertex(self, literal, monkeypatch):
+        # The wheel finder and the catalog share one odd_links mask.
+        b = Board(3, 3)
+        host = triangulate(b, parse_triangulation(b, literal))
+        calls = []
+        real = graphs_module._odd_link
+        monkeypatch.setattr(
+            graphs_module, "_odd_link", lambda adj, ring: calls.append(ring) or real(adj, ring)
+        )
+        c = classify(host, EXTENDED)
+        assert c.route == ("colouring" if literal == "/" * 9 else "odd_wheel")
+        assert len(calls) <= host.graph.n == 16
+
     def test_t1_layout(self):
         b = Board(2, 2)
         host = triangulate(b, parse_triangulation(b, "/\\//"))
@@ -67,7 +82,7 @@ class TestClassify:
 
     def test_budget_recorded_not_guessed(self, monkeypatch):
         # Without a wheel the host reaches the budgeted search.
-        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: None)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g, odd=None: None)
         monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         b = parse_board("cells 2x2; domino H 0 0")
         host = triangulate(b, parse_triangulation(b, "//F"))
@@ -98,7 +113,7 @@ class TestClassify:
     def test_search_decides_without_an_accepted_wheel(self, monkeypatch, found):
         # Without a wheel the search decides; a wheel that fails its
         # re-check is a fault, never a reason to fall back to the search.
-        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: found)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g, odd=None: found)
         b = Board(2, 2)
         host = triangulate(b, parse_triangulation(b, "/\\//"))
         if found is not None:
@@ -147,7 +162,7 @@ class TestVerifyTheorem:
             verify_theorem(board)
 
     def test_budget_makes_sweep_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: None)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g, odd=None: None)
         monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         report, _ = verify_theorem(parse_board("cells 2x2; domino H 0 0"))
         assert report.budget_exceeded == 4
