@@ -45,8 +45,12 @@ EXTENDED = forbidden_set(ClosurePolicy.EXTENDED)
 
 
 class TestClassify:
-    @pytest.mark.parametrize("literal", ["/" * 9, "///////\\/"], ids=["colouring", "odd-wheel"])
-    def test_one_parity_test_per_vertex(self, literal, monkeypatch):
+    @pytest.mark.parametrize(
+        "literal,route",
+        [("/" * 9, "colouring"), ("///////\\/", "odd_wheel")],
+        ids=["colouring", "odd-wheel"],
+    )
+    def test_one_parity_test_per_vertex(self, literal, route, monkeypatch):
         # The wheel finder and the catalog share one odd_links mask.
         b = Board(3, 3)
         host = triangulate(b, parse_triangulation(b, literal))
@@ -56,7 +60,7 @@ class TestClassify:
             graphs_module, "_odd_link", lambda adj, ring: calls.append(ring) or real(adj, ring)
         )
         c = classify(host, EXTENDED)
-        assert c.route == ("colouring" if literal == "/" * 9 else "odd_wheel")
+        assert c.route == route
         assert len(calls) <= host.graph.n == 16
 
     def test_t1_layout(self):
