@@ -189,6 +189,43 @@ def induced(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph.from_edges(len(kept), edges)
 
 
+PlanStep = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=64)
+def _search_plan(pattern: Graph, first: Optional[int]) -> tuple[PlanStep, ...]:
+    """The order in which ``_induced_search`` places the pattern's vertices.
+
+    ``first`` (the anchored vertex), or else a highest-degree vertex of lowest
+    index, goes first; each next vertex is the one with the most placed
+    neighbours (ties to the higher degree, then the lower index).  Step i is
+    ``(p, degree of p, the earlier steps p is adjacent to, the earlier steps
+    it is not adjacent to)``.  The plan depends on the pattern alone, so a
+    small cache keeps the catalog's anchored plans across hosts.
+    """
+    degree = [pattern.degree(p) for p in range(pattern.n)]
+    order: list[int] = []
+    placed = 0
+    if first is not None:
+        order.append(first)
+        placed = 1 << first
+    while len(order) < pattern.n:
+        best = min(
+            (p for p in range(pattern.n) if not placed >> p & 1),
+            key=lambda p: (-(pattern.adj[p] & placed).bit_count(), -degree[p], p),
+        )
+        order.append(best)
+        placed |= 1 << best
+    steps = []
+    for i, p in enumerate(order):
+        adjacent: list[int] = []
+        apart: list[int] = []
+        for j in range(i):
+            (adjacent if pattern.adj[p] >> order[j] & 1 else apart).append(j)
+        steps.append((p, degree[p], tuple(adjacent), tuple(apart)))
+    return tuple(steps)
+
+
 def _induced_search(
     host: Graph, pattern: Graph, anchor: Optional[tuple[int, int]] = None
 ) -> Optional[tuple[int, ...]]:
@@ -196,12 +233,12 @@ def _induced_search(
 
     Pattern vertex p may go to the host vertices of degree at least its own;
     an ``anchor`` ``(p, allowed)`` also keeps p to the bit mask ``allowed``
-    and places it first.  Otherwise a highest-degree vertex goes first, and
-    each next vertex is the one with the most placed neighbours (ties to the
-    higher degree, then the lower index).  A vertex's candidates are the
-    unused allowed host vertices adjacent to the image of every placed
-    neighbour and to the image of no placed non-neighbour, tried in
-    ascending index, so the embedding found first is deterministic.
+    and places it first.  The vertices are placed in the order of
+    ``_search_plan``.  A vertex's candidates are the unused allowed host
+    vertices in the host row of the image of every earlier step it is
+    adjacent to and in no host row of the image of an earlier step it is not
+    adjacent to, tried in ascending index, so the embedding found first is
+    deterministic.
     """
     if pattern.n > host.n:
         return None
@@ -212,38 +249,31 @@ def _induced_search(
         at_least[host.degree(h)] |= 1 << h
     for d in range(host.n - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
-    degree = [pattern.degree(p) for p in range(pattern.n)]
-    allowed = [at_least[d] for d in degree]
-    order: list[int] = []
-    placed = 0
+    plan = _search_plan(pattern, None if anchor is None else anchor[0])
+    allowed = [at_least[d] for _, d, _, _ in plan]
     if anchor is not None:
-        first, mask = anchor
-        allowed[first] &= mask
-        order.append(first)
-        placed = 1 << first
+        allowed[0] &= anchor[1]
     if not all(allowed):
         return None
-    while len(order) < pattern.n:
-        best = min(
-            (p for p in range(pattern.n) if not placed >> p & 1),
-            key=lambda p: (-(pattern.adj[p] & placed).bit_count(), -degree[p], p),
-        )
-        order.append(best)
-        placed |= 1 << best
 
-    mapping = [-1] * pattern.n
+    k, adj = pattern.n, host.adj
+    rows = [0] * k  # rows[j]: host row of the image of step j
+    mapping = [-1] * k
 
     def place(i: int, used: int) -> bool:
-        if i == pattern.n:
+        if i == k:
             return True
-        p = order[i]
-        cand = allowed[p] & ~used
-        for q in order[:i]:
-            image = host.adj[mapping[q]]
-            cand &= image if pattern.adj[p] >> q & 1 else ~image
+        p, _, nbrs, non = plan[i]
+        cand = allowed[i] & ~used
+        for j in nbrs:
+            cand &= rows[j]
+        for j in non:
+            cand &= ~rows[j]
         while cand:
             low = cand & -cand
-            mapping[p] = low.bit_length() - 1
+            h = low.bit_length() - 1
+            mapping[p] = h
+            rows[i] = adj[h]
             if place(i + 1, used | low):
                 return True
             cand ^= low
@@ -294,13 +324,16 @@ def _odd_link(adj: tuple[int, ...], ring: int) -> bool:
 
 
 def odd_links(g: Graph) -> int:
-    """Bit mask of the vertices whose open neighbourhood is not bipartite.
+    """Bit mask of the vertices of degree at least 5 whose open neighbourhood
+    is not bipartite.
 
-    An induced odd wheel can only have its hub on such a vertex.
+    An induced odd wheel W_m (odd m >= 5) can only have its hub on such a
+    vertex, and so can a catalog pattern's hub, whose rim is at least that
+    long; a vertex of degree below 5 is not tested.
     """
     out = 0
     for v, ring in enumerate(g.adj):
-        if _odd_link(g.adj, ring):
+        if ring.bit_count() >= 5 and _odd_link(g.adj, ring):
             out |= 1 << v
     return out
 

@@ -266,22 +266,25 @@ def check_odd_wheel(g: Graph, hub: int, rim: Sequence[int]) -> bool:
     ``cycle_is_comparability`` finds that C_m is not one, which is the case
     exactly for odd m >= 5.  Word-representability is hereditary
     (Halldorsson-Kitaev-Pyatkin 2016), so ``g`` is not word-representable
-    either.  No search over the orientations of ``g`` is involved.
+    either.  No search over the orientations of ``g`` is involved: the wheel
+    is checked on bit masks, the rim inside the hub's row and each rim
+    vertex's row meeting the rim in exactly its two cyclic neighbours.
     """
     m = len(rim)
-    if m < 3:
+    if m < 3 or not 0 <= hub < g.n:
         return False
-    if not all(0 <= v < g.n for v in (hub, *rim)):
+    ring = 0  # the rim as a mask: m bits iff its vertices are distinct
+    for v in rim:
+        if not 0 <= v < g.n:
+            return False
+        ring |= 1 << v
+    if ring.bit_count() != m:
         return False
-    if len(set(rim)) != m or hub in rim:
+    if g.adj[hub] & ring != ring:  # also rejects the hub on its own rim
         return False
     for i, u in enumerate(rim):
-        if not g.has_edge(hub, u):
+        if g.adj[u] & ring != 1 << rim[i - 1] | 1 << rim[(i + 1) % m]:
             return False
-        for j in range(i + 1, m):
-            consecutive = j == i + 1 or (i == 0 and j == m - 1)
-            if g.has_edge(u, rim[j]) != consecutive:
-                return False
     return not cycle_is_comparability(m)
 
 

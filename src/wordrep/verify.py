@@ -158,7 +158,9 @@ class VerdictCache:
     Only the isomorphism-invariant hit-free flag is stored, so cache reuse can
     never change report contents; a host isomorphic to a hit-free one needs
     only the embedded scan.  No representability verdict is reused: each one
-    carries its own certificate.
+    carries its own certificate.  ``classify_board`` passes none: every
+    3-colourable host has an empty ``odd_links`` mask, so ``find_forbidden``
+    returns before the flag could spare it any work.
     """
 
     def __init__(self) -> None:
@@ -229,17 +231,10 @@ def _classify_board_range(
     policy: ClosurePolicy,
 ) -> list[Classification]:
     s = forbidden_set(policy)
-    cache = VerdictCache()
     board_id = board.spec_string()
     build = host_builder(board)
     return [
-        classify(
-            build(t),
-            s,
-            board_id=board_id,
-            triangulation=t.literal(),
-            cache=cache,
-        )
+        classify(build(t), s, board_id=board_id, triangulation=t.literal())
         for t in triangulations
     ]
 
@@ -255,8 +250,7 @@ def classify_board(
         return _classify_board_range(board, triangulations, policy)
     from multiprocessing import get_context  # only a pool needs it
 
-    # Few large chunks: the per-chunk isomorphism cache loses its value when
-    # the work is sliced too finely.
+    # One chunk per job; each chunk lays its board out once.
     chunk = max(1, (len(triangulations) + jobs - 1) // jobs)
     ranges = [triangulations[i : i + chunk] for i in range(0, len(triangulations), chunk)]
     with get_context("fork").Pool(jobs) as pool:

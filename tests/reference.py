@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from wordrep.boards import Diag, EmbeddedGraph
 from wordrep.graphs import Graph, bits
+from wordrep.orientations import cycle_is_comparability
 
 
 def reference_colouring(g, k):
@@ -81,3 +82,78 @@ def reference_triangulate(board, t):
     for domino, pattern in zip(board.dominoes, t.domino_pattern):
         edges.extend(domino.chords(pattern))
     return _reference_embed(board, edges)
+
+
+def reference_induced_search(host, pattern, anchor=None):
+    """The induced-embedding search with its vertex order recomputed per call:
+    degree-dominating candidates, the anchor (or a highest-degree vertex)
+    first, then the vertex with the most placed neighbours, and each
+    candidate checked against every placed vertex in turn, ascending."""
+    if pattern.n > host.n:
+        return None
+    if pattern.n == 0:
+        return ()
+    at_least = [0] * host.n
+    for h in range(host.n):
+        at_least[host.degree(h)] |= 1 << h
+    for d in range(host.n - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    degree = [pattern.degree(p) for p in range(pattern.n)]
+    allowed = [at_least[d] for d in degree]
+    order = []
+    placed = 0
+    if anchor is not None:
+        first, mask = anchor
+        allowed[first] &= mask
+        order.append(first)
+        placed = 1 << first
+    if not all(allowed):
+        return None
+    while len(order) < pattern.n:
+        best = min(
+            (p for p in range(pattern.n) if not placed >> p & 1),
+            key=lambda p: (-(pattern.adj[p] & placed).bit_count(), -degree[p], p),
+        )
+        order.append(best)
+        placed |= 1 << best
+
+    mapping = [-1] * pattern.n
+
+    def place(i, used):
+        if i == pattern.n:
+            return True
+        p = order[i]
+        cand = allowed[p] & ~used
+        for q in order[:i]:
+            image = host.adj[mapping[q]]
+            cand &= image if pattern.adj[p] >> q & 1 else ~image
+        while cand:
+            low = cand & -cand
+            mapping[p] = low.bit_length() - 1
+            if place(i + 1, used | low):
+                return True
+            cand ^= low
+        return False
+
+    return tuple(mapping) if place(0, 0) else None
+
+
+def reference_check_odd_wheel(g, hub, rim):
+    """The odd-wheel certificate check with the wheel tested pair by pair:
+    every rim vertex adjacent to the hub, and two rim vertices adjacent iff
+    they are consecutive in the cyclic order given."""
+    m = len(rim)
+    if m < 3:
+        return False
+    if not all(0 <= v < g.n for v in (hub, *rim)):
+        return False
+    if len(set(rim)) != m or hub in rim:
+        return False
+    for i, u in enumerate(rim):
+        if not g.has_edge(hub, u):
+            return False
+        for j in range(i + 1, m):
+            consecutive = j == i + 1 or (i == 0 and j == m - 1)
+            if g.has_edge(u, rim[j]) != consecutive:
+                return False
+    return not cycle_is_comparability(m)

@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from wordrep.boards import (
     Board,
     enumerate_triangulations,
+    host_builder,
     parse_board,
     parse_triangulation,
     triangulate,
 )
+from wordrep.catalog import corner_closed_obstructions, minimal_graphs
 import wordrep.graphs as graphs_module
 from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
     are_isomorphic,
+    bits,
     chromatic_number,
     complete,
     contains_induced,
@@ -32,7 +35,7 @@ from wordrep.graphs import (
 )
 from wordrep.orientations import check_odd_wheel
 
-from reference import reference_colouring
+from reference import reference_colouring, reference_induced_search
 
 
 @st.composite
@@ -257,6 +260,52 @@ class TestSearchExactness:
         assert are_isomorphic(a, b) == brute == are_isomorphic(b, a)
 
 
+class TestSearchPlans:
+    """The search placed from compiled plans finds the same first embedding,
+    or the same None, as the search that recomputes its order per call."""
+
+    @pytest.mark.parametrize(
+        "spec", ["cells 3x3", "cells 3x3; domino H 1 1", "cells 3x3; domino V 0 1"]
+    )
+    def test_catalog_anchors_on_board_hosts(self, spec):
+        # Every base pattern and corner-closed obstruction, anchored as
+        # find_forbidden anchors it: its hub on the odd-link vertices of
+        # degree at least its rim length.
+        board = parse_board(spec)
+        build = host_builder(board)
+        patterns = [*minimal_graphs(), *corner_closed_obstructions()]
+        found = 0
+        for t in enumerate_triangulations(board):
+            g = build(t).graph
+            odd = odd_links(g)
+            for p in patterns:
+                allowed = sum(1 << v for v in bits(odd) if g.degree(v) >= p.rim_length)
+                anchor = (p.hub, allowed)
+                m = contains_induced(g, p.embedded.graph, anchor=anchor)
+                assert m == reference_induced_search(g, p.embedded.graph, anchor)
+                found += m is not None
+        assert found
+
+    @given(graphs(max_n=9), graphs(max_n=5), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_first_embedding_on_any_graphs(self, host, pattern, anchored, data):
+        anchor = None
+        if anchored:
+            anchor = (
+                data.draw(st.integers(0, pattern.n - 1)),
+                data.draw(st.integers(0, (1 << host.n) - 1)),
+            )
+        m = contains_induced(host, pattern, anchor=anchor)
+        assert m == reference_induced_search(host, pattern, anchor)
+
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_first_embedding_between_equal_orders(self, a, data):
+        # are_isomorphic's calls: a pattern as large as its host.
+        b = a.relabel(tuple(data.draw(st.permutations(range(a.n)))))
+        assert contains_induced(b, a) == reference_induced_search(b, a)
+
+
 class TestConstructors:
     def test_cycle(self):
         c = cycle(4)
@@ -442,18 +491,24 @@ class TestOddLinks:
         assert not odd_links(wheel(m)) >> m & 1
 
     def test_empty_on_three_colourable_hosts(self):
-        b = Board(2, 2)
-        hosts = [triangulate(b, t).graph for t in enumerate_triangulations(b)]
-        colourable = [g for g in hosts if is_k_colourable(g, 3) is not None]
-        assert colourable and len(colourable) < len(hosts)
-        assert all(odd_links(g) == 0 for g in colourable)
+        # A proper 3-colouring gives each neighbourhood at most two colours,
+        # so find_forbidden returns at once on every 3-colourable host.
+        for spec in ["cells 2x2", "cells 3x3", "cells 3x3; domino H 1 1"]:
+            b = parse_board(spec)
+            hosts = [triangulate(b, t).graph for t in enumerate_triangulations(b)]
+            colourable = [g for g in hosts if is_k_colourable(g, 3) is not None]
+            assert colourable and len(colourable) < len(hosts)
+            assert all(odd_links(g) == 0 for g in colourable)
 
-    @given(graphs(max_n=7))
+    @given(graphs(max_n=8))
     @settings(max_examples=80, deadline=None)
     def test_marks_exactly_the_non_bipartite_neighbourhoods(self, g):
+        # Only vertices of degree >= 5 are tested: no smaller one can be a
+        # hub of an odd wheel W_m, m >= 5.
         for v in range(g.n):
             link = induced(g, [u for u in range(g.n) if g.has_edge(u, v)])
-            assert bool(odd_links(g) >> v & 1) == (is_k_colourable(link, 2) is None)
+            expected = g.degree(v) >= 5 and is_k_colourable(link, 2) is None
+            assert bool(odd_links(g) >> v & 1) == expected
 
 
 class TestIsomorphism:

@@ -41,7 +41,7 @@ from wordrep.orientations import (
 )
 from wordrep.verify import classify
 
-from reference import reference_colouring
+from reference import reference_check_odd_wheel, reference_colouring
 
 
 def transitive_tournament(n: int) -> Orientation:
@@ -513,6 +513,42 @@ def without_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(e for e in g.edges if e != (u, v)))
 
 
+@st.composite
+def wheel_claims(draw):
+    """A graph with a wheel W_m (m >= 3) planted on random vertices among
+    random other edges, and its (hub, rim) claim, either as planted or with
+    one fault: a rim chord, a missing spoke, a rim vertex repeated or out of
+    range, or the rim listed out of cyclic order."""
+    m = draw(st.sampled_from([5, 7, 9, 3, 4, 6, 8]))
+    n = draw(st.sampled_from(range(m + 1, 12)))
+    order = draw(st.permutations(range(n)))
+    hub, rim = order[0], list(order[1 : m + 1])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {p for p in pairs if draw(st.booleans())}
+    for i, u in enumerate(rim):
+        edges.add((min(hub, u), max(hub, u)))
+        for w in rim[i + 1 :]:
+            edges.discard((min(u, w), max(u, w)))
+        w = rim[(i + 1) % m]
+        edges.add((min(u, w), max(u, w)))
+    fault = draw(
+        st.sampled_from(["none"] * 5 + ["chord", "spoke", "repeat", "range", "shuffle"])
+    )
+    i = draw(st.integers(0, m - 1))
+    if fault == "chord" and m >= 4:
+        u, w = rim[i], rim[(i + 2) % m]
+        edges.add((min(u, w), max(u, w)))
+    elif fault == "spoke":
+        edges.discard((min(hub, rim[i]), max(hub, rim[i])))
+    elif fault == "repeat":
+        rim[i] = rim[i - 1]
+    elif fault == "range":
+        rim[i] = draw(st.sampled_from([-1, n, n + 3]))
+    elif fault == "shuffle":
+        rim = draw(st.permutations(rim))
+    return Graph(n, tuple(sorted(edges))), hub, tuple(rim)
+
+
 class TestOddWheelCertificate:
     @pytest.mark.parametrize("m", [5, 7, 9])
     def test_accepts_odd_wheels_in_either_direction(self, m):
@@ -536,6 +572,7 @@ class TestOddWheelCertificate:
             (wheel(5), 9, (0, 1, 2, 3, 4)),
             (wheel(5), 5, (0, 2, 1, 3, 4)),
             (wheel(5), 5, (0, 1)),
+            (wheel(3), 3, (0, 1, 2) * 3),
         ],
         ids=[
             "even-rim",
@@ -550,10 +587,28 @@ class TestOddWheelCertificate:
             "hub-out-of-range",
             "not-cyclic-order",
             "two-rim",
+            "triangle-walked-thrice",
         ],
     )
     def test_rejects(self, g, hub, rim):
         assert not check_odd_wheel(g, hub, rim)
+
+    @given(wheel_claims())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_pairwise_check_on_planted_wheels(self, claim):
+        g, hub, rim = claim
+        assert check_odd_wheel(g, hub, rim) == reference_check_odd_wheel(g, hub, rim)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_pairwise_check_on_any_claim(self, data):
+        n = data.draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, tuple(p for p in pairs if data.draw(st.booleans())))
+        vertex = st.integers(-1, n)
+        hub = data.draw(vertex)
+        rim = data.draw(st.lists(vertex, max_size=9))
+        assert check_odd_wheel(g, hub, rim) == reference_check_odd_wheel(g, hub, rim)
 
     def test_cycle_comparability(self):
         assert [m for m in range(3, 10) if cycle_is_comparability(m)] == [3, 4, 6, 8]

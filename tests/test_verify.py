@@ -51,7 +51,8 @@ class TestClassify:
         ids=["colouring", "odd-wheel"],
     )
     def test_one_parity_test_per_vertex(self, literal, route, monkeypatch):
-        # The wheel finder and the catalog share one odd_links mask.
+        # The wheel finder and the catalog share one odd_links mask, which
+        # tests each vertex of degree >= 5 once and no vertex of lower degree.
         b = Board(3, 3)
         host = triangulate(b, parse_triangulation(b, literal))
         calls = []
@@ -61,7 +62,8 @@ class TestClassify:
         )
         c = classify(host, EXTENDED)
         assert c.route == route
-        assert len(calls) <= host.graph.n == 16
+        hubs = [ring for ring in host.graph.adj if ring.bit_count() >= 5]
+        assert calls == hubs and 0 < len(hubs) < host.graph.n == 16
 
     def test_t1_layout(self):
         b = Board(2, 2)
@@ -138,6 +140,18 @@ class TestClassify:
         ]
         without = [classify(h, EXTENDED, triangulation=lit) for lit, h in hosts]
         assert with_cache == without
+
+    def test_sweeps_never_consult_the_cache(self, monkeypatch):
+        # Every 3-colourable host has an empty odd_links mask, so the cache
+        # could spare no work and a board check does not build one.
+        def refuse(*args):
+            raise AssertionError("VerdictCache consulted")
+
+        monkeypatch.setattr(VerdictCache, "lookup", refuse)
+        monkeypatch.setattr(VerdictCache, "store", refuse)
+        report, cls = verify_theorem(parse_board("cells 3x3; domino H 1 1"))
+        assert report.passed and len(cls) == 256
+        assert any(c.three_colourable for c in cls)
 
     @pytest.mark.parametrize("spec", ["cells 2x3", "cells 2x3; domino H 0 0"])
     def test_routes_agree_with_full_search(self, spec):
