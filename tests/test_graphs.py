@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordrep.boards import (
-    Board,
     enumerate_triangulations,
     host_builder,
     parse_board,
