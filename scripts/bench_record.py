@@ -6,18 +6,27 @@ of this checkout in turn, and keeps the last two lines of each run's
 standard output: the run record and the result line.  Stdlib only.
 
     python scripts/bench_record.py --parent ../wordrep-parent --out BENCH_8.json
+
+With ``--pairs N`` (N > 1) each workload runs N ``--trace 0`` pairs, the
+parent first in odd pairs and the change first in even ones, and one
+``--trace 1`` pair.  ``runs["<workload>/trace0"]`` of each side is then the
+list of its N runs in pair order, and ``summary["<workload>"]`` holds, per
+end-to-end metric, each side's quartiles and median over those runs and the
+number of pairs in which the change is the better side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+SIDES = ("parent", "change")
 
 
 def _describe(checkout: Path) -> str:
@@ -43,11 +52,36 @@ def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     }
 
 
+def _summary(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
+    """Per metric: each side's q1, median and q3, and the pairs the change wins."""
+    out = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        values = {
+            side: [r["result"]["metrics"][name]["value"] for r in runs[side]]
+            for side in SIDES
+        }
+        entry: dict = {"better": metric["better"]}
+        for side in SIDES:
+            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            entry[side] = {"q1": q1, "median": median, "q3": q3}
+        sign = 1 if metric["better"] == "higher" else -1
+        entry["change_better_pairs"] = sum(
+            sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
+        )
+        out[name] = entry
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="alternating --trace 0 pairs per workload (default 1)")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
@@ -57,9 +91,22 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": seconds,
         **{side: {"describe": _describe(path), "runs": {}} for side, path in sides.items()},
     }
-    order = list(sides)
+    if args.pairs > 1:
+        out["pairs"] = args.pairs
+        out["summary"] = {}
+    order = list(SIDES)
     for workload in (w["name"] for w in declared["workloads"]):
-        for trace in (0, 1):
+        if args.pairs > 1:
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for i in range(args.pairs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    print(f"{side} {workload} --trace 0 pair {i + 1}/{args.pairs}",
+                          file=sys.stderr, flush=True)
+                    runs[side].append(_run(sides[side], workload, seconds, 0))
+            for side in SIDES:
+                out[side]["runs"][f"{workload}/trace0"] = runs[side]
+            out["summary"][workload] = _summary(runs, declared["end_to_end"])
+        for trace in (0, 1) if args.pairs == 1 else (1,):
             for side in order:
                 print(f"{side} {workload} --trace {trace}", file=sys.stderr, flush=True)
                 out[side]["runs"][f"{workload}/trace{trace}"] = _run(

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, _prechecked
 
 Coord = tuple[int, int]
 Edge = tuple[int, int]  # vertex ids u < v
@@ -215,9 +215,7 @@ class Triangulation(NamedTuple):
     domino_pattern: tuple[DominoPattern, ...]
 
     def literal(self) -> str:
-        return "".join(d.value for d in self.cell_diag) + "".join(
-            p.value for p in self.domino_pattern
-        )
+        return "".join(self.cell_diag) + "".join(self.domino_pattern)
 
 
 def parse_triangulation(board: Board, literal: str) -> Triangulation:
@@ -283,21 +281,21 @@ def _layout(board: Board) -> tuple[
     diagonal and each domino's (FALL, RISE) chord triple.  This is the one
     place where cells, diagonals and chords become edges.
     """
-    w = board.vertex_cols
+    w, n = board.vertex_cols, board.vertex_count
 
     def pair(a: Coord, b: Coord) -> Edge:
-        u, v = board.vertex_id(a), board.vertex_id(b)
+        u, v = a[0] * w + a[1], b[0] * w + b[1]
         return (u, v) if u < v else (v, u)
 
     coords = tuple((r, c) for r in range(board.vertex_rows) for c in range(w))
     skipped = {pair(*d.interior_edge()) for d in board.dominoes}
-    grid = [(u, u + 1) for u, (_, c) in enumerate(coords) if c + 1 < w]
-    grid += [(u, u + w) for u in range(board.vertex_count - w)]
+    grid = [(u, u + 1) for u in range(n) if (u + 1) % w]
+    grid += [(u, u + w) for u in range(n - w)]
     base = sorted(e for e in grid if e not in skipped)
-    cells = [
-        (pair(*_diag_endpoints(cell, Diag.SLASH)), pair(*_diag_endpoints(cell, Diag.BACKSLASH)))
-        for cell in board.unit_cells()
-    ]
+    # A cell with top-left corner a: its slash joins a + 1 and a + w (the
+    # _diag_endpoints of Diag.SLASH), its backslash a and a + w + 1.
+    tops = [r * w + c for r, c in board.unit_cells()]
+    cells = [((a + 1, a + w), (a, a + w + 1)) for a in tops]
     chords = [
         (
             tuple(pair(a, b) for a, b in d.chords(DominoPattern.FALL)),
@@ -318,23 +316,41 @@ def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
     """Lay the board out once; ``build(t)`` then gives the host of triangulation t.
 
     A host is the board's base edges plus one diagonal per unit cell and
-    three chords per domino, sorted; ``Graph`` and ``EmbeddedGraph`` still
-    validate every host they are given.
+    three chords per domino, sorted.  The template is checked here, once:
+    the base edges, both diagonals of every unit cell and both chord triples
+    of every domino are distinct in-range pairs u < v, the base edges are
+    sorted and the coordinates are distinct.  No choice of diagonals and
+    chords can then give a host that ``Graph`` or ``EmbeddedGraph`` would
+    refuse, so ``build`` copies the base adjacency rows, sets each chosen
+    pair's two bits and assembles both through ``graphs._prechecked``
+    without checking each host again.
     """
     coords, base, cells, chords = _layout(board)
-    n = board.vertex_count
+    base_host = EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords)
+    n, rows = base_host.graph.n, base_host.graph.adj
+    choices = [e for both in cells for e in both]
+    choices += [e for fall, rise in chords for e in (*fall, *rise)]
+    pairs = base + choices
+    if len(set(pairs)) != len(pairs) or not all(0 <= u < v < n for u, v in choices):
+        raise ValueError("board template holds a repeated or out-of-range pair")
 
     def build(t: Triangulation) -> EmbeddedGraph:
         if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(chords):
             raise ValueError("triangulation shape does not match the board")
-        edges = base + [
+        chosen = [
             slash if diag is Diag.SLASH else backslash
             for (slash, backslash), diag in zip(cells, t.cell_diag)
         ]
         for (fall, rise), pattern in zip(chords, t.domino_pattern):
-            edges += fall if pattern is DominoPattern.FALL else rise
+            chosen += fall if pattern is DominoPattern.FALL else rise
+        adj = list(rows)
+        for u, v in chosen:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        edges = base + chosen
         edges.sort()
-        return EmbeddedGraph(Graph(n, tuple(edges)), coords)
+        g = _prechecked(Graph, n=n, edges=tuple(edges), adj=tuple(adj))
+        return _prechecked(EmbeddedGraph, graph=g, coords=coords)
 
     return build
 

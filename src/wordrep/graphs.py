@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TypeVar
 
 from .errors import GraphSizeError
 
 MAX_VERTICES = 24
 MAX_PATTERN_VERTICES = 12
+
+_Frozen = TypeVar("_Frozen")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -81,6 +83,20 @@ class Graph:
     @classmethod
     def from_json_obj(cls, obj: dict) -> Graph:
         return cls.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+
+
+def _prechecked(cls: type[_Frozen], **values: object) -> _Frozen:
+    """An instance of the frozen dataclass ``cls`` holding ``values``, one per
+    field (``Graph``'s ``adj`` included), without running ``__post_init__``.
+
+    Only for values already checked once for many instances:
+    ``boards.host_builder`` checks a board's template once and builds every
+    host's ``Graph`` and ``EmbeddedGraph`` through here.  Every public
+    constructor still checks whatever it is given.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 @dataclass(frozen=True)
