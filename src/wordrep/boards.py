@@ -289,9 +289,14 @@ def _layout(board: Board) -> tuple[
 
     coords = tuple((r, c) for r in range(board.vertex_rows) for c in range(w))
     skipped = {pair(*d.interior_edge()) for d in board.dominoes}
-    grid = [(u, u + 1) for u in range(n) if (u + 1) % w]
-    grid += [(u, u + w) for u in range(n - w)]
-    base = sorted(e for e in grid if e not in skipped)
+    base = []  # (u, u + 1) before (u, u + w), u ascending: already sorted
+    for u in range(n):
+        if (u + 1) % w:
+            base.append((u, u + 1))
+        if u + w < n:
+            base.append((u, u + w))
+    if skipped:
+        base = [e for e in base if e not in skipped]
     # A cell with top-left corner a: its slash joins a + 1 and a + w (the
     # _diag_endpoints of Diag.SLASH), its backslash a and a + w + 1.
     tops = [r * w + c for r, c in board.unit_cells()]

@@ -157,3 +157,40 @@ def reference_check_odd_wheel(g, hub, rim):
             if g.has_edge(u, rim[j]) != consecutive:
                 return False
     return not cycle_is_comparability(m)
+
+
+def reference_descendants(out):
+    """Descendant masks of the digraph with out-neighbour masks ``out``, or
+    None when it has a directed cycle: every vertex's reach grows by the
+    reach of each vertex in it until no reach changes."""
+    desc = list(out)
+    grown = True
+    while grown:
+        grown = False
+        for u, reach in enumerate(desc):
+            wider = reach
+            for v in bits(reach):
+                wider |= desc[v]
+            if wider != reach:
+                desc[u], grown = wider, True
+    if any(reach >> u & 1 for u, reach in enumerate(desc)):
+        return None
+    return desc
+
+
+def reference_has_shortcut(adj, out, desc):
+    """Whether some arc u -> v has two non-adjacent vertices x and y, x
+    before y on a directed path from u to v: arc by arc, pair by pair, with
+    ``desc`` the descendant masks of the acyclic orientation ``out``."""
+
+    def reaches(a, b):
+        return a == b or bool(desc[a] >> b & 1)
+
+    for u, heads in enumerate(out):
+        for v in bits(heads):
+            on_path = [w for w in range(len(out)) if reaches(u, w) and reaches(w, v)]
+            for x in on_path:
+                for y in on_path:
+                    if x != y and reaches(x, y) and not adj[x] >> y & 1:
+                        return True
+    return False

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from wordrep import boards
 from wordrep.boards import (
     Axis,
     Board,
@@ -157,12 +158,68 @@ class TestHostBuilder:
         b = parse_board(spec, exploratory=True)
         build = host_builder(b)
         for t in enumerate_triangulations(b):
-            assert build(t) == reference_triangulate(b, t), t.literal()
+            host, reference = build(t), reference_triangulate(b, t)
+            # Dataclass equality skips Graph.adj, so the rows are compared too.
+            assert host == reference, t.literal()
+            assert host.graph.adj == reference.graph.adj, t.literal()
 
     @pytest.mark.parametrize("spec", BOARDS)
     def test_base_graph_equals_the_reference(self, spec):
         b = parse_board(spec, exploratory=True)
         assert base_graph(b) == reference_base_graph(b)
+
+    @pytest.mark.parametrize("spec", BOARDS)
+    def test_literal_joins_the_member_values(self, spec):
+        b = parse_board(spec, exploratory=True)
+        for t in enumerate_triangulations(b):
+            literal = t.literal()
+            assert literal == "".join(d.value for d in t.cell_diag) + "".join(
+                p.value for p in t.domino_pattern
+            )
+            assert parse_triangulation(b, literal) == t
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "base edge repeated",
+            "base edge out of range",
+            "base edges unsorted",
+            "diagonal on a base edge",
+            "both diagonals equal",
+            "diagonal out of range",
+            "diagonal reversed",
+            "chord repeated",
+            "chord out of range",
+            "coordinates repeated",
+        ],
+    )
+    def test_template_is_checked_once(self, monkeypatch, fault):
+        b = parse_board("cells 2x2; domino H 0 0")
+        coords, base, cells, chords = boards._layout(b)
+        (fall, rise), n = chords[0], b.vertex_count
+        if fault == "base edge repeated":
+            base = base[:1] + base
+        elif fault == "base edge out of range":
+            base = base + [(n - 1, n)]
+        elif fault == "base edges unsorted":
+            base = base[::-1]
+        elif fault == "diagonal on a base edge":
+            cells = [(base[0], cells[0][1])]
+        elif fault == "both diagonals equal":
+            cells = [(cells[0][0], cells[0][0])]
+        elif fault == "diagonal out of range":
+            cells = [(cells[0][0], (0, n))]
+        elif fault == "diagonal reversed":
+            cells = [(cells[0][0], cells[0][1][::-1])]
+        elif fault == "chord repeated":
+            chords = [(fall, (fall[0], *rise[1:]))]
+        elif fault == "chord out of range":
+            chords = [(fall, ((-1, 0), *rise[1:]))]
+        else:
+            coords = (coords[1],) + coords[1:]
+        monkeypatch.setattr(boards, "_layout", lambda board: (coords, base, cells, chords))
+        with pytest.raises(ValueError):
+            host_builder(b)
 
     def test_shape_mismatch(self):
         build = host_builder(parse_board("cells 2x2; domino H 0 0"))

@@ -25,8 +25,6 @@ from wordrep.graphs import (
 )
 from wordrep.orientations import (
     Orientation,
-    _closure,
-    _shortcut,
     certify,
     check_odd_wheel,
     cycle_is_comparability,
@@ -41,7 +39,12 @@ from wordrep.orientations import (
 )
 from wordrep.verify import classify
 
-from reference import reference_check_odd_wheel, reference_colouring
+from reference import (
+    reference_check_odd_wheel,
+    reference_colouring,
+    reference_descendants,
+    reference_has_shortcut,
+)
 
 
 def transitive_tournament(n: int) -> Orientation:
@@ -260,8 +263,10 @@ def reference_search(g: Graph) -> Optional[tuple[bool, ...]]:
     """The search with the closure and every check rebuilt from scratch.
 
     Same edge order and branch order as ``exists_semi_transitive``; after
-    each branch it recomputes the closure, scans every arc for a shortcut
-    and every edge for a forced direction, until nothing changes.  Returns,
+    each branch it recomputes the descendants, scans every arc for a
+    shortcut and every edge for a forced direction, until nothing changes.
+    The closure and the shortcut scan are ``reference``'s, so they share no
+    code with the library's.  Returns,
     per edge (u, v) in edge order, whether it is oriented u -> v.
     """
     m = g.edge_count
@@ -281,10 +286,10 @@ def reference_search(g: Graph) -> Optional[tuple[bool, ...]]:
 
     def propagate(trail: list[int]) -> bool:
         while True:
-            closed = _closure(out_masks(), g.n)
-            if closed is None or _shortcut(g.adj, enumerate(out_masks()), *closed) is not None:
+            out = out_masks()
+            desc = reference_descendants(out)
+            if desc is None or reference_has_shortcut(g.adj, out, desc):
                 return False
-            desc = closed[0]
             forced = []
             for i, (u, v) in enumerate(g.edges):
                 if dirs[i] is None and desc[u] >> v & 1:
