@@ -266,8 +266,8 @@ def reference_search(g: Graph) -> Optional[tuple[bool, ...]]:
     each branch it recomputes the descendants, scans every arc for a
     shortcut and every edge for a forced direction, until nothing changes.
     The closure and the shortcut scan are ``reference``'s, so they share no
-    code with the library's.  Returns,
-    per edge (u, v) in edge order, whether it is oriented u -> v.
+    code with the library's.  Returns, per edge (u, v) in edge order,
+    whether it is oriented u -> v.
     """
     m = g.edge_count
     order = sorted(
