@@ -1,18 +1,17 @@
 """Record the benchmark of a parent checkout and of this one in one JSON file.
 
-For every workload declared in BENCHMARK.json, at ``--trace 0`` and
-``--trace 1`` and seed 1, runs ``bench/run.py`` of the parent checkout and
-of this checkout in turn, and keeps the last two lines of each run's
-standard output: the run record and the result line.  Stdlib only.
+For every workload declared in BENCHMARK.json, runs ``bench/run.py`` of the
+parent checkout and of this checkout in ten alternating ``--trace 0``
+pairs, the parent first in odd pairs and the change first in even ones,
+then one ``--trace 1`` pair, and keeps the last two lines of each run's
+standard output: the run record and the result line.
+``runs["<workload>/trace0"]`` of each side is the list of its ten runs in
+pair order, and ``summary["<workload>"]`` holds, per end-to-end metric,
+each side's quartiles and median over those runs and the number of pairs
+in which the change is the better side.  Stdlib only.
 
     python scripts/bench_record.py --parent ../wordrep-parent --out BENCH_8.json
-
-With ``--pairs N`` (N > 1) each workload runs N ``--trace 0`` pairs, the
-parent first in odd pairs and the change first in even ones, and one
-``--trace 1`` pair.  ``runs["<workload>/trace0"]`` of each side is then the
-list of its N runs in pair order, and ``summary["<workload>"]`` holds, per
-end-to-end metric, each side's quartiles and median over those runs and the
-number of pairs in which the change is the better side.
+    python scripts/bench_record.py --parent ../wordrep-parent --seed 2 --out BENCH_8_seed2.json
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
+PAIRS = 10
 SIDES = ("parent", "change")
 
 
@@ -36,9 +35,9 @@ def _describe(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=1800,
     )
@@ -77,42 +76,33 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
-    parser.add_argument("--pairs", type=int, default=1,
-                        help="alternating --trace 0 pairs per workload (default 1)")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     out = {
-        "seed": SEED,
+        "seed": args.seed,
         "seconds": seconds,
+        "pairs": PAIRS,
+        "summary": {},
         **{side: {"describe": _describe(path), "runs": {}} for side, path in sides.items()},
     }
-    if args.pairs > 1:
-        out["pairs"] = args.pairs
-        out["summary"] = {}
-    order = list(SIDES)
     for workload in (w["name"] for w in declared["workloads"]):
-        if args.pairs > 1:
-            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-            for i in range(args.pairs):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    print(f"{side} {workload} --trace 0 pair {i + 1}/{args.pairs}",
-                          file=sys.stderr, flush=True)
-                    runs[side].append(_run(sides[side], workload, seconds, 0))
-            for side in SIDES:
-                out[side]["runs"][f"{workload}/trace0"] = runs[side]
-            out["summary"][workload] = _summary(runs, declared["end_to_end"])
-        for trace in (0, 1) if args.pairs == 1 else (1,):
-            for side in order:
-                print(f"{side} {workload} --trace {trace}", file=sys.stderr, flush=True)
-                out[side]["runs"][f"{workload}/trace{trace}"] = _run(
-                    sides[side], workload, seconds, trace
-                )
-            order.reverse()  # alternate which side runs first
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for i in range(PAIRS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                print(f"{side} {workload} --trace 0 pair {i + 1}/{PAIRS}",
+                      file=sys.stderr, flush=True)
+                runs[side].append(_run(sides[side], workload, args.seed, seconds, 0))
+        for side in SIDES:
+            out[side]["runs"][f"{workload}/trace0"] = runs[side]
+            print(f"{side} {workload} --trace 1", file=sys.stderr, flush=True)
+            out[side]["runs"][f"{workload}/trace1"] = _run(
+                sides[side], workload, args.seed, seconds, 1
+            )
+        out["summary"][workload] = _summary(runs, declared["end_to_end"])
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -261,13 +261,6 @@ class EmbeddedGraph:
         return {rc: v for v, rc in enumerate(self.coords)}
 
 
-def _diag_endpoints(cell: Coord, diag: Diag) -> tuple[Coord, Coord]:
-    r, c = cell
-    if diag is Diag.SLASH:
-        return ((r + 1, c), (r, c + 1))
-    return ((r, c), (r + 1, c + 1))
-
-
 def _layout(board: Board) -> tuple[
     tuple[Coord, ...],
     list[Edge],
@@ -297,8 +290,8 @@ def _layout(board: Board) -> tuple[
             base.append((u, u + w))
     if skipped:
         base = [e for e in base if e not in skipped]
-    # A cell with top-left corner a: its slash joins a + 1 and a + w (the
-    # _diag_endpoints of Diag.SLASH), its backslash a and a + w + 1.
+    # A cell with top-left corner a: its slash joins a + 1 and a + w, its
+    # backslash a and a + w + 1.
     tops = [r * w + c for r, c in board.unit_cells()]
     cells = [((a + 1, a + w), (a, a + w + 1)) for a in tops]
     chords = [
@@ -436,20 +429,17 @@ def transform_triangulation(
     """
     e = transform(triangulate(board, t), s)
     new_board = transform_board(board, s)
-
-    def is_edge(a: Coord, b: Coord) -> bool:
-        return e.graph.has_edge(new_board.vertex_id(a), new_board.vertex_id(b))
-
+    _, _, cells, chords = _layout(new_board)
     new_t = Triangulation(
         tuple(
-            Diag.SLASH if is_edge(*_diag_endpoints(cell, Diag.SLASH)) else Diag.BACKSLASH
-            for cell in new_board.unit_cells()
+            Diag.SLASH if e.graph.has_edge(*slash) else Diag.BACKSLASH
+            for slash, _ in cells
         ),
         tuple(
             DominoPattern.FALL
-            if all(is_edge(a, b) for a, b in d.chords(DominoPattern.FALL))
+            if all(e.graph.has_edge(*p) for p in fall)
             else DominoPattern.RISE
-            for d in new_board.dominoes
+            for fall, _ in chords
         ),
     )
     if triangulate(new_board, new_t) != e:
