@@ -358,7 +358,12 @@ def triangulate(board: Board, t: Triangulation) -> EmbeddedGraph:
 
 
 def enumerate_triangulations(board: Board) -> Iterator[Triangulation]:
-    """All 2^(unit cells + dominoes) triangulations, in choice-vector order."""
+    """All 2^(unit cells + dominoes) triangulations, in choice-vector order.
+
+    The last choice varies fastest, and the dominoes' patterns are the last
+    choices, FALL before RISE: on a one-domino board, triangulations 2i and
+    2i+1 differ only in the domino's pattern.
+    """
     cells = board.unit_cells()
     m = len(cells) + len(board.dominoes)
     if m > 20:

@@ -42,15 +42,7 @@ from .boards import (
     transform,
     triangulate,
 )
-from .graphs import (
-    Graph,
-    bits,
-    contains_induced,
-    find_odd_wheel,
-    induced,
-    is_k_colourable,
-    odd_links,
-)
+from .graphs import bits, contains_induced, find_odd_wheel, induced, is_k_colourable
 
 S, B = Diag.SLASH, Diag.BACKSLASH
 F, R = DominoPattern.FALL, DominoPattern.RISE
@@ -117,46 +109,47 @@ def readings(d: Drawing) -> tuple[EmbeddedGraph, ...]:
     return tuple(sorted(forms, key=lambda e: e.graph.edge_count))
 
 
-def _hub(name: str, g: Graph) -> tuple[int, int]:
-    """(hub, m) of a pattern: hub and rim length of the odd wheel ``find_odd_wheel`` finds."""
-    found = find_odd_wheel(g)
-    if found is None:
-        raise AssertionError(f"{name} has no odd-wheel hub")
-    hub, rim = found
-    return hub, len(rim)
-
-
 @dataclass(frozen=True)
-class PatternGraph:
-    """A base pattern; ``hub`` and ``rim_length`` are derived from its graph."""
+class ForbiddenMember:
+    """A catalog pattern, a closure member or a corner-closed form.
 
-    name: str
+    A base pattern is the identity member of its own name, and the drawing of
+    its base pattern says whether a member has a domino.  The odd-wheel hub
+    and its rim length m are derived once, when the member is built; they
+    anchor the general matcher.
+    """
+
+    name: str  # e.g. "A3@flip_h"
+    base_name: str
+    symmetry: Symmetry
     embedded: EmbeddedGraph
-    has_domino: bool
-    provenance: str
     hub: int = field(init=False, compare=False)
     rim_length: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        hub, m = _hub(self.name, self.embedded.graph)
+        found = find_odd_wheel(self.embedded.graph)
+        if found is None:
+            raise AssertionError(f"{self.name} has no odd-wheel hub")
+        hub, rim = found
         object.__setattr__(self, "hub", hub)
-        object.__setattr__(self, "rim_length", m)
+        object.__setattr__(self, "rim_length", len(rim))
+
+    @property
+    def has_domino(self) -> bool:
+        return DRAWINGS[self.base_name].domino is not None
+
+    @property
+    def provenance(self) -> str:
+        if self.has_domino:
+            return "minimal catalog: single horizontal-domino triangulations"
+        return "minimal catalog: square 2x2-cell triangulations"
 
 
 @lru_cache(maxsize=1)
-def minimal_graphs() -> tuple[PatternGraph, ...]:
+def minimal_graphs() -> tuple[ForbiddenMember, ...]:
     """The twelve catalog patterns; loading re-validates the fixture checksums."""
     patterns = tuple(
-        PatternGraph(
-            name,
-            readings(drawing)[0],
-            has_domino=drawing.domino is not None,
-            provenance=(
-                "minimal catalog: single horizontal-domino triangulations"
-                if drawing.domino is not None
-                else "minimal catalog: square 2x2-cell triangulations"
-            ),
-        )
+        ForbiddenMember(name, name, Symmetry.IDENTITY, readings(drawing)[0])
         for name, drawing in DRAWINGS.items()
     )
     _validate(patterns)
@@ -189,7 +182,7 @@ FIXTURE_DIGESTS = {
 }
 
 
-def _validate(patterns: tuple[PatternGraph, ...]) -> None:
+def _validate(patterns: tuple[ForbiddenMember, ...]) -> None:
     if len(patterns) != 12:
         raise AssertionError("catalog must hold exactly 12 patterns")
     for p in patterns:
@@ -230,27 +223,6 @@ _AB_GROUPS = {
         Symmetry.FLIP_V,
     ),
 }
-
-
-@dataclass(frozen=True)
-class ForbiddenMember:
-    """A closure member or corner-closed form.
-
-    The odd-wheel hub and its rim length m are derived once, when the member
-    is built; they anchor the general matcher.
-    """
-
-    name: str  # e.g. "A3@flip_h"
-    base_name: str
-    symmetry: Symmetry
-    embedded: EmbeddedGraph
-    hub: int = field(init=False, compare=False)
-    rim_length: int = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        hub, m = _hub(self.name, self.embedded.graph)
-        object.__setattr__(self, "hub", hub)
-        object.__setattr__(self, "rim_length", m)
 
 
 # (member name, pair mask, edge mask, mapping): one translation of a member
@@ -402,20 +374,24 @@ def corner_closed_obstructions() -> tuple[ForbiddenMember, ...]:
     )
 
 
+@lru_cache(maxsize=1)
+def _general_patterns() -> tuple[ForbiddenMember, ...]:
+    """What the general matcher tries, in order: the base patterns, then the
+    corner-closed obstructions."""
+    return (*minimal_graphs(), *corner_closed_obstructions())
+
+
 def find_forbidden(
-    host: EmbeddedGraph,
-    s: ForbiddenSet,
-    embedded_only: bool = False,
-    odd: Optional[int] = None,
+    host: EmbeddedGraph, s: ForbiddenSet, embedded_only: bool = False
 ) -> Optional[ForbiddenHit]:
     """First forbidden pattern induced in the host, in deterministic member order.
 
     The translation matcher runs first over every closure member; the general
     induced matcher is the fallback and the ground truth (``embedded_only``
-    disables it, for agreement measurements).  The general matcher tries the
-    base patterns, then the corner-closed forms that are new obstructions; a
-    corner-closed hit is reported under its base pattern's name, because a
-    cut corner leaves its cell's diagonal free.
+    disables it, for agreement measurements).  The general matcher tries
+    ``_general_patterns``; a hit is reported under its base pattern's name,
+    so a corner-closed form's under the pattern it is a reading of, because
+    a cut corner leaves its cell's diagonal free.
 
     The translation matcher is a table lookup: with the host encoded as one
     adjacency-matrix int, a placement from ``s.placements`` matches iff the
@@ -423,14 +399,13 @@ def find_forbidden(
     edges.  Only the general matcher is anchored, on each pattern's odd-wheel
     hub: an induced embedding puts the hub, whose neighbourhood is a
     chordless C_m, on a host vertex of degree at least m whose neighbourhood
-    is not bipartite.  A host without such a vertex contains no pattern, and
-    a matching placement already puts its hub on one, so the anchor would
-    change no first hit of the table.  ``odd`` is ``odd_links`` of the host,
-    computed here unless the caller has it.
+    is not bipartite, a vertex of the mask ``odd_links`` kept on the host's
+    graph.  A host without such a vertex contains no pattern, and a matching
+    placement already puts its hub on one, so the anchor would change no
+    first hit of the table.
     """
     g = host.graph
-    if odd is None:
-        odd = odd_links(g)
+    odd = g.odd_links
     if not odd:
         return None
     adj = sum(a << (u * g.n) for u, a in enumerate(g.adj))
@@ -446,12 +421,10 @@ def find_forbidden(
             hub_hosts[m] = sum(1 << v for v in bits(odd) if g.degree(v) >= m)
         return hub_hosts[m]
 
-    general = [(p.name, p) for p in minimal_graphs()]
-    general += [(m.base_name, m) for m in corner_closed_obstructions()]
-    for name, p in general:
+    for p in _general_patterns():
         allowed = anchor_mask(p.rim_length)
         if allowed:
             mapping = contains_induced(g, p.embedded.graph, anchor=(p.hub, allowed))
             if mapping is not None:
-                return ForbiddenHit(name, mapping, via_embedded=False)
+                return ForbiddenHit(p.base_name, mapping, via_embedded=False)
     return None

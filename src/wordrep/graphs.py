@@ -2,13 +2,14 @@
 
 Vertices are 0..n-1 with n capped at 24 so every adjacency row fits in one
 machine word.  Graphs are immutable values: safe to hash, share, and send
-between workers.
+between workers.  The one derived fact kept on a graph, its ``odd_links``
+mask, is worked out on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, TypeVar
 
 from .errors import GraphSizeError
@@ -70,6 +71,21 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
+
+    @cached_property
+    def odd_links(self) -> int:
+        """Bit mask of the vertices of degree at least 5 whose open
+        neighbourhood is not bipartite, worked out on first use and kept.
+
+        An induced odd wheel W_m (odd m >= 5) can only have its hub on such a
+        vertex, and so can a catalog pattern's hub, whose rim is at least that
+        long; a vertex of degree below 5 is not tested.
+        """
+        out = 0
+        for v, ring in enumerate(self.adj):
+            if ring.bit_count() >= 5 and _odd_link(self.adj, ring):
+                out |= 1 << v
+        return out
 
     def relabel(self, perm: tuple[int, ...]) -> Graph:
         """Return the graph with vertex v renamed to perm[v]."""
@@ -305,7 +321,7 @@ def contains_induced(
 
     ``anchor=(p, allowed)`` restricts pattern vertex p to the host vertices
     in the bit mask ``allowed``; the catalog anchors each pattern's odd-wheel
-    hub on ``odd_links(host)``.
+    hub on ``host.odd_links``.
     """
     if pattern.n > MAX_PATTERN_VERTICES:
         raise GraphSizeError(
@@ -337,21 +353,6 @@ def _odd_link(adj: tuple[int, ...], ring: int) -> bool:
             layer = reach & unseen
             unseen ^= layer
     return False
-
-
-def odd_links(g: Graph) -> int:
-    """Bit mask of the vertices of degree at least 5 whose open neighbourhood
-    is not bipartite.
-
-    An induced odd wheel W_m (odd m >= 5) can only have its hub on such a
-    vertex, and so can a catalog pattern's hub, whose rim is at least that
-    long; a vertex of degree below 5 is not tested.
-    """
-    out = 0
-    for v, ring in enumerate(g.adj):
-        if ring.bit_count() >= 5 and _odd_link(g.adj, ring):
-            out |= 1 << v
-    return out
 
 
 def cycle(m: int) -> Graph:
@@ -398,32 +399,24 @@ def _close_odd_cycle(
     return False
 
 
-def find_odd_wheel(
-    g: Graph, odd: Optional[int] = None
-) -> Optional[tuple[int, tuple[int, ...]]]:
+def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
     """(hub, rim) of an induced odd wheel W_m (odd m >= 5), or None.
 
-    Hubs are tried in index order; a hub with fewer than 5 neighbours or a
-    bipartite neighbourhood is skipped.  ``odd``, when given, is
-    ``odd_links(g)`` and answers the parity test for every hub; without it
-    each hub is tested as it is reached, so the finder stops at its first
-    wheel without testing the hubs after it.  Inside the neighbourhood of each
-    other hub, every neighbour s is tried in ascending order as the rim's
-    lowest vertex: a depth-first search over the induced paths from s
-    through the vertices above s, stepping first to s's lower neighbours,
-    returns the first induced odd cycle of length at least 5.  The rim lists
-    that cycle in cyclic order, from s to its lower rim neighbour: a cycle
-    through a higher first step b and back through a lower a closes,
-    reversed, in the earlier branch through a, so the branch through b lets
-    only neighbours of s above b close.  Where a neighbourhood is a
-    chordless cycle or a path, as on a triangulation host, the rim is that
-    whole cycle.
+    Hubs are the vertices of ``g.odd_links``, the mask kept on the graph, in
+    index order.  Inside the neighbourhood of each hub, every neighbour s is
+    tried in ascending order as the rim's lowest vertex: a depth-first search
+    over the induced paths from s through the vertices above s, stepping
+    first to s's lower neighbours, returns the first induced odd cycle of
+    length at least 5.  The rim lists that cycle in cyclic order, from s to
+    its lower rim neighbour: a cycle through a higher first step b and back
+    through a lower a closes, reversed, in the earlier branch through a, so
+    the branch through b lets only neighbours of s above b close.  Where a
+    neighbourhood is a chordless cycle or a path, as on a triangulation host,
+    the rim is that whole cycle.
     """
     adj = g.adj
-    for hub in range(g.n) if odd is None else bits(odd):
+    for hub in bits(g.odd_links):
         ring = adj[hub]
-        if ring.bit_count() < 5 or (odd is None and not _odd_link(adj, ring)):
-            continue
         while ring.bit_count() >= 5:
             first = ring & -ring
             s = first.bit_length() - 1

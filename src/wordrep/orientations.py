@@ -376,7 +376,7 @@ def exists_semi_transitive(
 
 
 def certify(
-    g: Graph, edge_budget: Optional[int] = None, odd: Optional[int] = None
+    g: Graph, edge_budget: Optional[int] = None
 ) -> tuple[Optional[Orientation], Optional[dict]]:
     """The decision procedure: a semi-transitive orientation or None, and the
     certificate of the verdict.
@@ -386,16 +386,16 @@ def certify(
     *rim)})``: such a graph is not word-representable, and not 3-colourable
     either, since an odd wheel needs four colours.  A proper 3-colouring gives
     its colour-level orientation and ``{"colouring": [...]}``; a 3-colourable
-    graph has only bipartite neighbourhoods, so the finder skips each of its
-    hubs after one parity test.  Otherwise the exhaustive search decides,
-    within ``edge_budget``: ``(o, {"orientation": ...})`` for its orientation
-    ``o``, or ``(None, None)``, since a searched "no" has no certificate.  The
-    orientation of either "yes" route is re-checked with
-    ``is_semi_transitive`` before it is returned, a rejected wheel raises
-    ``AssertionError``, and ``BudgetExceededError`` propagates.  ``odd``, the
-    mask of ``odd_links(g)`` when the caller has it, is handed to the finder.
+    graph has only bipartite neighbourhoods, so its ``odd_links`` mask, kept
+    on the graph for the catalog too, is empty and the finder tries no hub.
+    Otherwise the exhaustive search decides, within ``edge_budget``: ``(o,
+    {"orientation": ...})`` for its orientation ``o``, or ``(None, None)``,
+    since a searched "no" has no certificate.  The orientation of either
+    "yes" route is re-checked with ``is_semi_transitive`` before it is
+    returned, a rejected wheel raises ``AssertionError``, and
+    ``BudgetExceededError`` propagates.
     """
-    found = find_odd_wheel(g, odd)
+    found = find_odd_wheel(g)
     if found is not None:
         hub, rim = found
         if not check_odd_wheel(g, hub, rim):

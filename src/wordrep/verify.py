@@ -26,7 +26,6 @@ from .boards import (
     Triangulation,
     domino_placements,
     enumerate_triangulations,
-    flip_domino_pattern,
     host_builder,
     transform_triangulation,
 )
@@ -44,7 +43,6 @@ from .graphs import (
     are_isomorphic,
     induced,
     is_k_colourable,
-    odd_links,
     refinement_hash,
     wheel,
 )
@@ -192,13 +190,12 @@ def classify(
     proves 3-colourability too: a colouring proves it, a re-checked odd wheel
     disproves it, and a host that reaches the search has no 3-colouring.  The
     forbidden-pattern verdict is computed independently of the certificate;
-    the wheel finder and the catalog share one ``odd_links`` mask of the
-    graph, so each neighbourhood's parity is tested once per host.
+    the wheel finder and the catalog both read the ``odd_links`` mask kept
+    on the graph, so each neighbourhood's parity is tested once per host.
     """
     g = e.graph
-    odd = odd_links(g)
     try:
-        o, certificate = certify(g, odd=odd)
+        o, certificate = certify(g)
     except BudgetExceededError:
         wr, certificate = BUDGET, None
     else:
@@ -208,7 +205,7 @@ def classify(
     cached_hit_free = cache.lookup(g) if cache is not None and colourable else None
 
     # A host isomorphic to a cached hit-free one needs only the embedded scan.
-    hit = find_forbidden(e, s, embedded_only=bool(cached_hit_free), odd=odd)
+    hit = find_forbidden(e, s, embedded_only=bool(cached_hit_free))
     hit_name = hit.name if hit is not None else None
 
     if cache is not None and colourable and cached_hit_free is None:
@@ -268,7 +265,8 @@ def verify_theorem(
 
     On a one-domino board, 3-colourability must also be invariant under
     swapping the domino's chord pattern; each host is compared with its flip
-    partner among the board's own classifications.
+    partner among the board's own classifications, which is host ``i ^ 1``
+    in ``enumerate_triangulations`` order.
     """
     if len(board.dominoes) > 1:
         raise ValueError("theorem checks cover boards with at most one domino")
@@ -308,18 +306,16 @@ def verify_theorem(
         elif hit_present:
             report.general_only_hits += 1
     if board.dominoes:
-        by_literal = {c.triangulation: c for c in classifications}
-        for c, t in zip(classifications, enumerate_triangulations(board)):
-            flipped = flip_domino_pattern(t, 0).literal()
-            b = by_literal[flipped].three_colourable
-            if c.three_colourable != b:
+        for i, c in enumerate(classifications):
+            partner = classifications[i ^ 1]
+            if c.three_colourable != partner.three_colourable:
                 report.violations.append(
                     Violation(
                         c.board,
                         c.triangulation,
                         "domino-flip",
                         f"3-colourable={c.three_colourable} but flipped "
-                        f"({flipped}) gives {b}",
+                        f"({partner.triangulation}) gives {partner.three_colourable}",
                     )
                 )
     report.elapsed_seconds = time.monotonic() - started

@@ -287,8 +287,14 @@ class TestVerify:
         (["sweep", "3x3", "--jobs", "2"], "6c275d8e733f044b"),
         (["sweep", "3x3", "--policy", "literal"], "cccd9b582c4e731a"),
         (["catalog", "--emit", "json"], "76583e50e332ab5e"),
+        (["catalog", "--emit", "dot"], "9c73159701dccf06"),
+        (["catalog", "--emit", "json", "--policy", "literal"], "2ada1fbe7c94d2f2"),
+        (["verify", "--board", "cells 3x3; domino H 1 0"], "8dcae867328b2b7f"),
     ],
-    ids=["sweep", "sweep-jobs-2", "sweep-literal", "catalog-json"],
+    ids=[
+        "sweep", "sweep-jobs-2", "sweep-literal", "catalog-json",
+        "catalog-dot", "catalog-json-literal", "verify-domino",
+    ],
 )
 def test_reports_are_byte_identical(argv, digest, capsys):
     # A deliberate change to a report's content updates its digest here.

@@ -11,11 +11,9 @@ from wordrep.boards import (
     enumerate_triangulations,
     host_builder,
     parse_board,
-    parse_triangulation,
     triangulate,
 )
 from wordrep.catalog import corner_closed_obstructions, minimal_graphs
-import wordrep.graphs as graphs_module
 from wordrep.errors import GraphSizeError
 from wordrep.graphs import (
     Graph,
@@ -29,7 +27,6 @@ from wordrep.graphs import (
     induced,
     is_k_colourable,
     nonisomorphic_graphs,
-    odd_links,
     wheel,
 )
 from wordrep.orientations import check_odd_wheel
@@ -276,7 +273,7 @@ class TestSearchPlans:
         found = 0
         for t in enumerate_triangulations(board):
             g = build(t).graph
-            odd = odd_links(g)
+            odd = g.odd_links
             for p in patterns:
                 allowed = sum(1 << v for v in bits(odd) if g.degree(v) >= p.rim_length)
                 anchor = (p.hub, allowed)
@@ -410,29 +407,6 @@ class TestFindOddWheel:
             assert check_odd_wheel(g, hub, rim)
             assert rim[0] == min(rim) and rim[1] < rim[-1]
 
-    @given(graphs(max_n=9))
-    @settings(max_examples=200, deadline=None)
-    def test_given_odd_links_finds_the_same_wheel(self, g):
-        assert find_odd_wheel(g, odd_links(g)) == find_odd_wheel(g)
-
-    def test_parity_tests_stop_at_the_first_odd_hub(self, monkeypatch):
-        # Without a mask, only the hubs of degree >= 5 up to the wheel's own
-        # are tested; with one, none is.
-        board = parse_board("cells 3x3")
-        # Hubs of degree >= 5 are 5, 6, 9, 10 and 14; the wheel's hub is 9.
-        g = triangulate(board, parse_triangulation(board, "///////\\/")).graph
-        tested = []
-        real = graphs_module._odd_link
-        monkeypatch.setattr(
-            graphs_module, "_odd_link", lambda adj, ring: tested.append(ring) or real(adj, ring)
-        )
-        hub, _ = find_odd_wheel(g)
-        assert tested == [g.adj[v] for v in range(hub + 1) if g.degree(v) >= 5]
-        assert len(tested) < sum(g.degree(v) >= 5 for v in range(g.n))
-        odd = odd_links(g)
-        tested.clear()
-        assert find_odd_wheel(g, odd)[0] == hub and not tested
-
     @pytest.mark.parametrize(
         "spec", ["cells 3x3", "cells 3x3; domino H 0 0", "cells 3x3; domino H 1 1"]
     )
@@ -483,11 +457,11 @@ def chordless_link_wheel(g: Graph):
 class TestOddLinks:
     @pytest.mark.parametrize("m", [5, 7, 9])
     def test_odd_wheel_hubs(self, m):
-        assert odd_links(wheel(m)) >> m & 1
+        assert wheel(m).odd_links >> m & 1
 
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_even_wheel_hubs(self, m):
-        assert not odd_links(wheel(m)) >> m & 1
+        assert not wheel(m).odd_links >> m & 1
 
     def test_empty_on_three_colourable_hosts(self):
         # A proper 3-colouring gives each neighbourhood at most two colours,
@@ -497,7 +471,7 @@ class TestOddLinks:
             hosts = [triangulate(b, t).graph for t in enumerate_triangulations(b)]
             colourable = [g for g in hosts if is_k_colourable(g, 3) is not None]
             assert colourable and len(colourable) < len(hosts)
-            assert all(odd_links(g) == 0 for g in colourable)
+            assert all(g.odd_links == 0 for g in colourable)
 
     @given(graphs(max_n=8))
     @settings(max_examples=80, deadline=None)
@@ -507,7 +481,7 @@ class TestOddLinks:
         for v in range(g.n):
             link = induced(g, [u for u in range(g.n) if g.has_edge(u, v)])
             expected = g.degree(v) >= 5 and is_k_colourable(link, 2) is None
-            assert bool(odd_links(g) >> v & 1) == expected
+            assert bool(g.odd_links >> v & 1) == expected
 
 
 class TestIsomorphism:

@@ -424,7 +424,7 @@ class TestDecide:
             assert semi_transitive_certificate(g) is None
 
     def test_odd_wheel_is_rechecked(self, monkeypatch):
-        monkeypatch.setattr(orientations, "find_odd_wheel", lambda g, odd=None: (6, (0, 1, 2, 3, 4)))
+        monkeypatch.setattr(orientations, "find_odd_wheel", lambda g: (6, (0, 1, 2, 3, 4)))
         with pytest.raises(AssertionError, match="odd wheel"):
             semi_transitive_certificate(wheel(6))
 

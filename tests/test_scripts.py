@@ -1,0 +1,55 @@
+"""Smoke and unit tests of the scripts under ``scripts/``."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def scripts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+
+def test_catalog_report_runs(scripts, capsys):
+    import run_catalog_report
+
+    assert run_catalog_report.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    patterns = [line for line in lines if " n=" in line and "chi=" in line]
+    assert len(patterns) == 12
+    assert all("chi=4 semi-transitive=no" in line for line in patterns)
+    assert any("catalog verification: passed=True violations=0" in line for line in lines)
+
+
+def runs_of(values: list[float], metrics: list[str]) -> list[dict]:
+    """Run records as ``bench/run.py`` prints them, every metric at one value."""
+    return [
+        {"result": {"metrics": {name: {"value": v} for name in metrics}}} for v in values
+    ]
+
+
+def test_bench_summary_quartiles_and_pairs(scripts):
+    import bench_record
+
+    end_to_end = [
+        {"name": "items_per_s", "better": "higher"},
+        {"name": "wall_s", "better": "lower"},
+    ]
+    names = [m["name"] for m in end_to_end]
+    # Pairs: the change is higher in three, lower in one and level in one.
+    runs = {
+        "parent": runs_of([1, 2, 3, 4, 5], names),
+        "change": runs_of([2, 1, 3, 6, 7], names),
+    }
+    summary = bench_record._summary(runs, end_to_end)
+    for name, better, wins in [("items_per_s", "higher", 3), ("wall_s", "lower", 1)]:
+        assert summary[name] == {
+            "better": better,
+            "parent": {"q1": 2, "median": 3, "q3": 4},
+            "change": {"q1": 2, "median": 3, "q3": 6},
+            "change_better_pairs": wins,
+        }

@@ -11,7 +11,9 @@ from wordrep.boards import (
     Axis,
     Board,
     Domino,
+    domino_placements,
     enumerate_triangulations,
+    flip_domino_pattern,
     parse_board,
     parse_triangulation,
     triangulate,
@@ -88,7 +90,7 @@ class TestClassify:
 
     def test_budget_recorded_not_guessed(self, monkeypatch):
         # Without a wheel the host reaches the budgeted search.
-        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g, odd=None: None)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: None)
         monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         b = parse_board("cells 2x2; domino H 0 0")
         host = triangulate(b, parse_triangulation(b, "//F"))
@@ -119,7 +121,7 @@ class TestClassify:
     def test_search_decides_without_an_accepted_wheel(self, monkeypatch, found):
         # Without a wheel the search decides; a wheel that fails its
         # re-check is a fault, never a reason to fall back to the search.
-        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g, odd=None: found)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: found)
         b = Board(2, 2)
         host = triangulate(b, parse_triangulation(b, "/\\//"))
         if found is not None:
@@ -180,7 +182,7 @@ class TestVerifyTheorem:
             verify_theorem(board)
 
     def test_budget_makes_sweep_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g, odd=None: None)
+        monkeypatch.setattr(orientations_module, "find_odd_wheel", lambda g: None)
         monkeypatch.setattr(orientations_module, "DEFAULT_EDGE_BUDGET", 5)
         report, _ = verify_theorem(parse_board("cells 2x2; domino H 0 0"))
         assert report.budget_exceeded == 4
@@ -268,6 +270,20 @@ class TestFlip:
             verify_theorem(
                 Board(2, 3, (Domino(0, 0, Axis.H), Domino(1, 0, Axis.H)), exploratory=True)
             )
+
+    def test_flip_partner_is_the_neighbouring_host(self):
+        # verify_theorem reads host i's flip partner as host i ^ 1.
+        boards = [
+            Board(rows, cols, (d,))
+            for rows, cols in sweep_boards(2, 3)
+            for d in domino_placements(rows, cols, Axis.H)
+        ]
+        assert len(boards) == 9
+        for b in boards:
+            cls = classify_board(b)
+            for i, t in enumerate(enumerate_triangulations(b)):
+                assert cls[i].triangulation == t.literal()
+                assert cls[i ^ 1].triangulation == flip_domino_pattern(t, 0).literal()
 
     def test_flip_failure_is_reported(self, monkeypatch, capsys):
         board = parse_board("cells 2x2; domino H 0 0")
