@@ -320,34 +320,51 @@ def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
     sorted and the coordinates are distinct.  No choice of diagonals and
     chords can then give a host that ``Graph`` or ``EmbeddedGraph`` would
     refuse, so ``build`` copies the base adjacency rows, sets each chosen
-    pair's two bits and assembles both through ``graphs._prechecked``
-    without checking each host again.
+    pair's two bits in them and in the base adjacency matrix, packed once
+    here, and assembles both through ``graphs._prechecked`` without
+    checking each host again.
     """
     coords, base, cells, chords = _layout(board)
     base_host = EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords)
-    n, rows = base_host.graph.n, base_host.graph.adj
+    n, rows, base_matrix = base_host.graph.n, base_host.graph.adj, base_host.graph.matrix
     choices = [e for both in cells for e in both]
     choices += [e for fall, rise in chords for e in (*fall, *rise)]
     pairs = base + choices
-    if len(set(pairs)) != len(pairs) or not all(0 <= u < v < n for u, v in choices):
-        raise ValueError("board template holds a repeated or out-of-range pair")
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("board template holds a repeated pair")
+
+    def option(e: Edge) -> tuple[Edge, int, int, int, int, int]:
+        """(pair u v, u, bit v, v, bit u, both of the pair's matrix bits),
+        once the pair is checked to be in range."""
+        u, v = e
+        if not 0 <= u < v < n:
+            raise ValueError(f"board template holds an out-of-range pair {e}")
+        return e, u, 1 << v, v, 1 << u, 1 << (u * n + v) | 1 << (v * n + u)
+
+    cell_options = [(option(slash), option(backslash)) for slash, backslash in cells]
+    chord_options = [
+        (tuple(map(option, fall)), tuple(map(option, rise))) for fall, rise in chords
+    ]
 
     def build(t: Triangulation) -> EmbeddedGraph:
         if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(chords):
             raise ValueError("triangulation shape does not match the board")
         chosen = [
             slash if diag is Diag.SLASH else backslash
-            for (slash, backslash), diag in zip(cells, t.cell_diag)
+            for (slash, backslash), diag in zip(cell_options, t.cell_diag)
         ]
-        for (fall, rise), pattern in zip(chords, t.domino_pattern):
+        for (fall, rise), pattern in zip(chord_options, t.domino_pattern):
             chosen += fall if pattern is DominoPattern.FALL else rise
         adj = list(rows)
-        for u, v in chosen:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        edges = base + chosen
+        matrix = base_matrix
+        edges = base.copy()
+        for e, u, bit_v, v, bit_u, bits_uv in chosen:
+            adj[u] |= bit_v
+            adj[v] |= bit_u
+            matrix |= bits_uv
+            edges.append(e)
         edges.sort()
-        g = _prechecked(Graph, n=n, edges=tuple(edges), adj=tuple(adj))
+        g = _prechecked(Graph, n=n, edges=tuple(edges), adj=tuple(adj), matrix=matrix)
         return _prechecked(EmbeddedGraph, graph=g, coords=coords)
 
     return build

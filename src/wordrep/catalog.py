@@ -230,6 +230,11 @@ _AB_GROUPS = {
 # a, b in the image, the edge mask both bits of each mapped pattern edge.
 Placement = tuple[str, int, int, tuple[int, ...]]
 
+# (first, pair mask, hits): the placements of one image.  ``first`` is the
+# table index of the earliest of them; ``hits`` maps each of their edge masks
+# to (table index, member name, mapping) of the earliest placement with it.
+ImageGroup = tuple[int, int, dict[int, tuple[int, str, tuple[int, ...]]]]
+
 
 def _placements(
     members: tuple[ForbiddenMember, ...], coords: tuple[Coord, ...]
@@ -261,20 +266,32 @@ def _placements(
     return tuple(table)
 
 
+def _image_groups(table: tuple[Placement, ...]) -> tuple[ImageGroup, ...]:
+    """The placement table grouped by image, in the order of each group's
+    earliest placement."""
+    groups: dict[int, ImageGroup] = {}
+    for i, (name, pairs, edges, mapping) in enumerate(table):
+        groups.setdefault(pairs, (i, pairs, {}))[2].setdefault(edges, (i, name, mapping))
+    return tuple(groups.values())
+
+
 @dataclass(frozen=True)
 class ForbiddenSet:
     policy: ClosurePolicy
     members: tuple[ForbiddenMember, ...]
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def placements(self, coords: tuple[Coord, ...]) -> tuple[Placement, ...]:
-        """The members' placement table for one host layout, built on first use.
+    def placements(self, coords: tuple[Coord, ...]) -> tuple[ImageGroup, ...]:
+        """The members' placement table for one host layout, grouped by
+        image and built on first use.
 
-        All hosts of one board shape share a layout, with or without a domino.
+        All hosts of one board shape share a layout, with or without a
+        domino: the extended closure's 128 placements on a 3x3 layout fall
+        into 12 images.
         """
         table = self._tables.get(coords)
         if table is None:
-            table = self._tables[coords] = _placements(self.members, coords)
+            table = self._tables[coords] = _image_groups(_placements(self.members, coords))
         return table
 
 
@@ -393,27 +410,37 @@ def find_forbidden(
     so a corner-closed form's under the pattern it is a reading of, because
     a cut corner leaves its cell's diagonal free.
 
-    The translation matcher is a table lookup: with the host encoded as one
-    adjacency-matrix int, a placement from ``s.placements`` matches iff the
-    host's bits on the image's vertex pairs are exactly the mapped pattern
-    edges.  Only the general matcher is anchored, on each pattern's odd-wheel
-    hub: an induced embedding puts the hub, whose neighbourhood is a
-    chordless C_m, on a host vertex of degree at least m whose neighbourhood
-    is not bipartite, a vertex of the mask ``odd_links`` kept on the host's
-    graph.  A host without such a vertex contains no pattern, and a matching
-    placement already puts its hub on one, so the anchor would change no
-    first hit of the table.
+    The translation matcher is a table lookup: with the host's adjacency
+    matrix as one int (``Graph.matrix``), a placement from ``s.placements``
+    matches iff the host's bits on the image's vertex pairs are exactly the
+    mapped pattern edges.  The table is grouped by image, so one dict lookup
+    finds the earliest matching placement of an image; the scan keeps the
+    earliest hit in table order and stops at the first group that starts
+    after it.  Only the general matcher is anchored, on each pattern's
+    odd-wheel hub: an induced embedding puts the hub, whose neighbourhood is
+    a chordless C_m, on a host vertex of degree at least m whose
+    neighbourhood is not bipartite, a vertex of the host graph's
+    ``odd_links``.  A host without such a vertex contains no pattern, so the
+    first thing asked is whether the graph's odd-link scan finds any; a
+    matching placement already puts its hub on one, so only a table miss
+    reads the full mask to anchor the general matcher.
     """
     g = host.graph
-    odd = g.odd_links
-    if not odd:
+    if g.first_odd_link() < 0:
         return None
-    adj = sum(a << (u * g.n) for u, a in enumerate(g.adj))
-    for name, pairs, edges, mapping in s.placements(host.coords):
-        if adj & pairs == edges:
-            return ForbiddenHit(name, mapping, via_embedded=True)
+    matrix = g.matrix
+    hit = None
+    for first, pairs, hits in s.placements(host.coords):
+        if hit is not None and hit[0] < first:
+            break
+        found = hits.get(matrix & pairs)
+        if found is not None and (hit is None or found[0] < hit[0]):
+            hit = found
+    if hit is not None:
+        return ForbiddenHit(hit[1], hit[2], via_embedded=True)
     if embedded_only:
         return None
+    odd = g.odd_links
     hub_hosts: dict[int, int] = {}  # m -> odd-link vertices of degree >= m
 
     def anchor_mask(m: int) -> int:

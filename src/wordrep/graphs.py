@@ -2,8 +2,12 @@
 
 Vertices are 0..n-1 with n capped at 24 so every adjacency row fits in one
 machine word.  Graphs are immutable values: safe to hash, share, and send
-between workers.  The one derived fact kept on a graph, its ``odd_links``
-mask, is worked out on first use.
+between workers.  The facts derived from a graph are kept on it, each worked
+out on first use: its adjacency ``matrix`` as one int, its degree classes
+``at_least`` and its odd-link vertices.  The odd links are found by one
+resumable scan that runs the parity tests in index order, each vertex at
+most once, and only as far as a caller asks: ``first_odd_link`` stops at the
+first odd-link vertex it needs, ``odd_links`` finishes the scan.
 """
 
 from __future__ import annotations
@@ -73,19 +77,47 @@ class Graph:
         return self.adj[v].bit_count()
 
     @cached_property
+    def matrix(self) -> int:
+        """The adjacency matrix as one int: bit u * n + v is set iff u and v
+        are adjacent.  ``boards.host_builder`` fills it in from its board
+        template; any other graph works it out on first use."""
+        n = self.n
+        return sum(a << (u * n) for u, a in enumerate(self.adj))
+
+    @cached_property
+    def at_least(self) -> tuple[int, ...]:
+        """``at_least[d]``: bit mask of the vertices of degree at least d, for d < n."""
+        out = [0] * self.n
+        for v, ring in enumerate(self.adj):
+            out[ring.bit_count()] |= 1 << v
+        for d in range(self.n - 2, -1, -1):
+            out[d] |= out[d + 1]
+        return tuple(out)
+
+    @cached_property
+    def _odd_scan(self) -> _OddLinkScan:
+        return _OddLinkScan(self.adj)
+
+    def first_odd_link(self, v: int = 0) -> int:
+        """The lowest vertex at or above v of the ``odd_links`` mask, or -1.
+
+        Runs the parity tests only until it is found, so a caller that stops
+        at the first vertex it needs leaves the higher ones untested.
+        """
+        return self._odd_scan.lowest_from(v)
+
+    @property
     def odd_links(self) -> int:
         """Bit mask of the vertices of degree at least 5 whose open
-        neighbourhood is not bipartite, worked out on first use and kept.
+        neighbourhood is not bipartite; reading it finishes the scan.
 
         An induced odd wheel W_m (odd m >= 5) can only have its hub on such a
         vertex, and so can a catalog pattern's hub, whose rim is at least that
         long; a vertex of degree below 5 is not tested.
         """
-        out = 0
-        for v, ring in enumerate(self.adj):
-            if ring.bit_count() >= 5 and _odd_link(self.adj, ring):
-                out |= 1 << v
-        return out
+        scan = self._odd_scan
+        scan.lowest_from(self.n)  # no vertex is >= n: tests every vertex left
+        return scan.state[0]
 
     def relabel(self, perm: tuple[int, ...]) -> Graph:
         """Return the graph with vertex v renamed to perm[v]."""
@@ -103,7 +135,8 @@ class Graph:
 
 def _prechecked(cls: type[_Frozen], **values: object) -> _Frozen:
     """An instance of the frozen dataclass ``cls`` holding ``values``, one per
-    field (``Graph``'s ``adj`` included), without running ``__post_init__``.
+    field (``Graph``'s ``adj`` included) and any cached property already
+    known (``Graph.matrix``), without running ``__post_init__``.
 
     Only for values already checked once for many instances:
     ``boards.host_builder`` checks a board's template once and builds every
@@ -276,11 +309,7 @@ def _induced_search(
         return None
     if pattern.n == 0:
         return ()
-    at_least = [0] * host.n  # at_least[d]: host vertices of degree >= d
-    for h in range(host.n):
-        at_least[host.degree(h)] |= 1 << h
-    for d in range(host.n - 2, -1, -1):
-        at_least[d] |= at_least[d + 1]
+    at_least = host.at_least
     plan = _search_plan(pattern, None if anchor is None else anchor[0])
     allowed = [at_least[d] for _, d, _, _ in plan]
     if anchor is not None:
@@ -355,6 +384,43 @@ def _odd_link(adj: tuple[int, ...], ring: int) -> bool:
     return False
 
 
+class _OddLinkScan:
+    """The parity tests of one graph's neighbourhoods, run lazily in index order.
+
+    ``state`` is (found, untested): the odd-link vertices among the tested
+    ones and the vertices of degree at least 5 not tested yet.  Every tested
+    vertex is below every untested one, so each vertex is tested at most
+    once and the odd-link vertices come out in index order, whichever caller
+    asks first.  The pair is replaced as a whole, so a graph shared between
+    threads never holds one half of a scan's progress without the other.
+    """
+
+    __slots__ = ("adj", "state")
+
+    def __init__(self, adj: tuple[int, ...]) -> None:
+        untested = 0
+        for v, ring in enumerate(adj):
+            if ring.bit_count() >= 5:
+                untested |= 1 << v
+        self.adj, self.state = adj, (0, untested)
+
+    def lowest_from(self, v: int) -> int:
+        """The lowest odd-link vertex at or above v, or -1."""
+        above = -1 << v
+        found, untested = self.state
+        hit = found & above
+        if not hit and untested:
+            adj = self.adj
+            while not hit and untested:
+                low = untested & -untested
+                untested ^= low
+                if _odd_link(adj, adj[low.bit_length() - 1]):
+                    found |= low
+                    hit = found & above
+            self.state = found, untested
+        return (hit & -hit).bit_length() - 1
+
+
 def cycle(m: int) -> Graph:
     if m < 3:
         raise ValueError("cycle needs at least 3 vertices")
@@ -402,20 +468,22 @@ def _close_odd_cycle(
 def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
     """(hub, rim) of an induced odd wheel W_m (odd m >= 5), or None.
 
-    Hubs are the vertices of ``g.odd_links``, the mask kept on the graph, in
-    index order.  Inside the neighbourhood of each hub, every neighbour s is
-    tried in ascending order as the rim's lowest vertex: a depth-first search
-    over the induced paths from s through the vertices above s, stepping
-    first to s's lower neighbours, returns the first induced odd cycle of
-    length at least 5.  The rim lists that cycle in cyclic order, from s to
+    Hubs are the vertices of ``g.odd_links`` in index order, taken one at a
+    time from the graph's resumable odd-link scan, so the finder stops at its
+    first wheel hub and leaves the vertices above it untested.  Inside the
+    neighbourhood of each hub, every neighbour s is tried in ascending order
+    as the rim's lowest vertex: a depth-first search over the induced paths
+    from s through the vertices above s, stepping first to s's lower
+    neighbours, returns the first induced odd cycle of length at least 5.  The rim lists that cycle in cyclic order, from s to
     its lower rim neighbour: a cycle through a higher first step b and back
     through a lower a closes, reversed, in the earlier branch through a, so
     the branch through b lets only neighbours of s above b close.  Where a
     neighbourhood is a chordless cycle or a path, as on a triangulation host,
     the rim is that whole cycle.
     """
-    adj = g.adj
-    for hub in bits(g.odd_links):
+    adj, scan = g.adj, g._odd_scan
+    hub = scan.lowest_from(0)
+    while hub >= 0:
         ring = adj[hub]
         while ring.bit_count() >= 5:
             first = ring & -ring
@@ -429,6 +497,7 @@ def find_odd_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
                 path = [s, low.bit_length() - 1]
                 if _close_odd_cycle(adj, inner, close, path, first | low):
                     return hub, tuple(path)
+        hub = scan.lowest_from(hub + 1)
     return None
 
 

@@ -386,8 +386,9 @@ def certify(
     *rim)})``: such a graph is not word-representable, and not 3-colourable
     either, since an odd wheel needs four colours.  A proper 3-colouring gives
     its colour-level orientation and ``{"colouring": [...]}``; a 3-colourable
-    graph has only bipartite neighbourhoods, so its ``odd_links`` mask, kept
-    on the graph for the catalog too, is empty and the finder tries no hub.
+    graph has only bipartite neighbourhoods, so its odd-link scan, kept on
+    the graph for the catalog too, finds no vertex and the finder tries no
+    hub.
     Otherwise the exhaustive search decides, within ``edge_budget``: ``(o,
     {"orientation": ...})`` for its orientation ``o``, or ``(None, None)``,
     since a searched "no" has no certificate.  The orientation of either

@@ -156,9 +156,10 @@ class VerdictCache:
     Only the isomorphism-invariant hit-free flag is stored, so cache reuse can
     never change report contents; a host isomorphic to a hit-free one needs
     only the embedded scan.  No representability verdict is reused: each one
-    carries its own certificate.  ``classify_board`` passes none: every
-    3-colourable host has an empty ``odd_links`` mask, so ``find_forbidden``
-    returns before the flag could spare it any work.
+    carries its own certificate.  ``classify_board`` passes none: a
+    3-colourable host has no odd-link vertex, so ``find_forbidden`` returns
+    at its first question, whether the graph's odd-link scan finds one,
+    before the flag could spare it any work.
     """
 
     def __init__(self) -> None:
@@ -190,8 +191,9 @@ def classify(
     proves 3-colourability too: a colouring proves it, a re-checked odd wheel
     disproves it, and a host that reaches the search has no 3-colouring.  The
     forbidden-pattern verdict is computed independently of the certificate;
-    the wheel finder and the catalog both read the ``odd_links`` mask kept
-    on the graph, so each neighbourhood's parity is tested once per host.
+    the wheel finder and the catalog share the odd-link scan kept on the
+    graph, so each neighbourhood's parity is tested at most once per host,
+    and only as far as the two verdicts need.
     """
     g = e.graph
     try:

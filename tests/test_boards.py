@@ -24,7 +24,14 @@ from wordrep.boards import (
     triangulate,
 )
 from wordrep.errors import BudgetExceededError
-from wordrep.graphs import are_isomorphic, chromatic_number, cycle, induced, is_k_colourable
+from wordrep.graphs import (
+    Graph,
+    are_isomorphic,
+    chromatic_number,
+    cycle,
+    induced,
+    is_k_colourable,
+)
 
 from reference import reference_base_graph, reference_triangulate
 
@@ -162,6 +169,21 @@ class TestHostBuilder:
             # Dataclass equality skips Graph.adj, so the rows are compared too.
             assert host == reference, t.literal()
             assert host.graph.adj == reference.graph.adj, t.literal()
+
+    @pytest.mark.parametrize(
+        "spec", ["cells 3x3", "cells 3x3; domino V 0 1", "cells 2x5; domino H 1 3"]
+    )
+    def test_template_fills_the_matrix(self, spec):
+        # build(t) ORs each chosen pair's bits into the board's base matrix;
+        # a graph from the public constructor packs its rows on first use.
+        b = parse_board(spec)
+        build = host_builder(b)
+        for t in enumerate_triangulations(b):
+            g = build(t).graph
+            packed = sum(a << (u * g.n) for u, a in enumerate(g.adj))
+            assert vars(g)["matrix"] == packed, t.literal()
+            fresh = Graph(g.n, g.edges)
+            assert "matrix" not in vars(fresh) and fresh.matrix == packed
 
     @pytest.mark.parametrize("spec", BOARDS)
     def test_base_graph_equals_the_reference(self, spec):

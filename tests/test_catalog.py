@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from wordrep import catalog
 from wordrep.boards import (
     Board,
     EmbeddedGraph,
+    base_graph,
     enumerate_triangulations,
     parse_board,
     parse_triangulation,
@@ -368,6 +370,23 @@ class TestPlacementTables:
                 assert s.placements(host.coords) == ()
                 hit = find_forbidden(host, s)
                 assert (hit and hit.name) == reference_general(host)
+
+    @pytest.mark.parametrize("policy", list(ClosurePolicy))
+    def test_grouped_by_image_keeping_every_placement(self, policy):
+        # The placements of the 3x3 layout fall into 12 images.  A group
+        # starts at its earliest placement and maps each edge mask to a
+        # placement of its image, so no placement is lost.
+        s = forbidden_set(policy)
+        coords = base_graph(Board(3, 3)).coords
+        flat = catalog._placements(s.members, coords)
+        groups = s.placements(coords)
+        assert (len(flat), len(groups)) == ((128 if policy is ClosurePolicy.EXTENDED else 80), 12)
+        assert [first for first, _, _ in groups] == sorted(first for first, _, _ in groups)
+        kept = sorted(hit for _, _, hits in groups for hit in hits.values())
+        assert kept == [(i, name, mapping) for i, (name, _, _, mapping) in enumerate(flat)]
+        for first, pairs, hits in groups:
+            assert first == min(i for i, _, _ in hits.values())
+            assert all(flat[i][1:3] == (pairs, edges) for edges, (i, _, _) in hits.items())
 
     @pytest.mark.parametrize("policy", list(ClosurePolicy))
     def test_table_built_once_per_layout(self, policy):

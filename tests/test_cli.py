@@ -290,10 +290,11 @@ class TestVerify:
         (["catalog", "--emit", "dot"], "9c73159701dccf06"),
         (["catalog", "--emit", "json", "--policy", "literal"], "2ada1fbe7c94d2f2"),
         (["verify", "--board", "cells 3x3; domino H 1 0"], "8dcae867328b2b7f"),
+        (["verify", "--board", "cells 3x3; domino V 0 1"], "4d5d8cb63f01ff5b"),
     ],
     ids=[
         "sweep", "sweep-jobs-2", "sweep-literal", "catalog-json",
-        "catalog-dot", "catalog-json-literal", "verify-domino",
+        "catalog-dot", "catalog-json-literal", "verify-domino", "verify-domino-v",
     ],
 )
 def test_reports_are_byte_identical(argv, digest, capsys):

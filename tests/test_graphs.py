@@ -57,6 +57,13 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, ((0, 1), (0, 1)))
 
+    @given(graphs(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_degree_classes(self, g):
+        assert g.at_least == tuple(
+            sum(1 << v for v in range(g.n) if g.degree(v) >= d) for d in range(g.n)
+        )
+
     def test_rejects_too_many_vertices(self):
         with pytest.raises(GraphSizeError):
             Graph(25, ())
@@ -472,6 +479,38 @@ class TestOddLinks:
             colourable = [g for g in hosts if is_k_colourable(g, 3) is not None]
             assert colourable and len(colourable) < len(hosts)
             assert all(g.odd_links == 0 for g in colourable)
+
+    @staticmethod
+    def assert_scan_order_free(make):
+        """Fresh copies from ``make()`` find the same wheel and end with the
+        same mask whether the mask is read before the finder, after it or
+        never, and that mask is the one the definition gives."""
+        before = make()
+        mask = before.odd_links
+        found = find_odd_wheel(before)
+        assert before.odd_links == mask
+        after = make()
+        assert find_odd_wheel(after) == found
+        assert after.odd_links == mask
+        assert find_odd_wheel(make()) == found
+        assert make().first_odd_link() == (mask & -mask).bit_length() - 1
+        g = make()
+        assert mask == sum(
+            1 << v
+            for v in range(g.n)
+            if g.degree(v) >= 5 and is_k_colourable(induced(g, bits(g.adj[v])), 2) is None
+        )
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_order_changes_nothing(self, g):
+        self.assert_scan_order_free(lambda: Graph(g.n, g.edges))
+
+    def test_scan_order_changes_nothing_on_board_hosts(self):
+        b = parse_board("cells 3x3; domino V 0 1")
+        build = host_builder(b)
+        for t in enumerate_triangulations(b):
+            self.assert_scan_order_free(lambda: build(t).graph)
 
     @given(graphs(max_n=8))
     @settings(max_examples=80, deadline=None)

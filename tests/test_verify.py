@@ -48,24 +48,43 @@ EXTENDED = forbidden_set(ClosurePolicy.EXTENDED)
 
 class TestClassify:
     @pytest.mark.parametrize(
-        "literal,route",
-        [("/" * 9, "colouring"), ("///////\\/", "odd_wheel")],
-        ids=["colouring", "odd-wheel"],
+        "spec,literal,route,matcher",
+        [
+            ("cells 3x3", "/" * 9, "colouring", None),
+            ("cells 3x3", "///////\\/", "odd_wheel", "table"),
+            ("cells 3x3; domino V 0 1", "///////F", "odd_wheel", "general"),
+        ],
+        ids=["colouring", "odd-wheel", "general-matcher"],
     )
-    def test_one_parity_test_per_vertex(self, literal, route, monkeypatch):
-        # The wheel finder and the catalog share one odd_links mask, which
-        # tests each vertex of degree >= 5 once and no vertex of lower degree.
-        b = Board(3, 3)
+    def test_one_parity_test_per_vertex(self, spec, literal, route, matcher, monkeypatch):
+        # The wheel finder and the catalog share one resumable odd-link scan,
+        # which tests vertices of degree >= 5 in index order, each at most
+        # once, and no vertex of lower degree.  The wheel finder stops at its
+        # hub and a table hit needs no more; only a colourable host (no hub)
+        # and a host the general matcher decides are tested throughout.
+        b = parse_board(spec)
         host = triangulate(b, parse_triangulation(b, literal))
         calls = []
         real = graphs_module._odd_link
-        monkeypatch.setattr(
-            graphs_module, "_odd_link", lambda adj, ring: calls.append(ring) or real(adj, ring)
-        )
+
+        def counted(adj, ring):
+            if adj is host.graph.adj:  # not a catalog pattern's, built on first use
+                calls.append(ring)
+            return real(adj, ring)
+
+        monkeypatch.setattr(graphs_module, "_odd_link", counted)
         c = classify(host, EXTENDED)
         assert c.route == route
-        hubs = [ring for ring in host.graph.adj if ring.bit_count() >= 5]
-        assert calls == hubs and 0 < len(hubs) < host.graph.n == 16
+        assert (c.forbidden_hit is not None, c.embedded_hit is not None) == (
+            matcher is not None, matcher == "table"
+        )
+        tested = [v for v, ring in enumerate(host.graph.adj) if ring.bit_count() >= 5]
+        if matcher == "table":
+            hub = c.certificate["odd_wheel"][0]
+            assert hub < tested[-1]
+            tested = [v for v in tested if v <= hub]
+        assert calls == [host.graph.adj[v] for v in tested]
+        assert 0 < len(tested) < host.graph.n == 16
 
     def test_t1_layout(self):
         b = Board(2, 2)
