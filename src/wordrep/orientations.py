@@ -3,7 +3,11 @@
 An orientation is semi-transitive when it is acyclic and has no shortcut: a
 directed path v1 -> ... -> vk (k >= 4) whose closing arc v1 -> vk is present
 while some arc vi -> vj (i < j) is missing.  A graph is word-representable
-exactly when it admits a semi-transitive orientation.  ``certify`` is the one
+exactly when it admits a semi-transitive orientation.  The checks sort an
+orientation into topological layers first: a directed cycle leaves vertices
+unsorted, and an orientation with fewer than four layers has no directed
+path on four vertices, hence no shortcut, so only a taller one pays for the
+descendant masks and the shortcut scan.  ``certify`` is the one
 decision procedure: it decides by an induced odd wheel, a 3-colouring or the
 exhaustive search, in that order, and returns the verdict's certificate.
 ``check_odd_wheel`` re-checks an induced odd wheel as proof that a graph is
@@ -73,8 +77,14 @@ def orientation_from_arcs(g: Graph, arcs: Iterable[tuple[int, int]]) -> Orientat
     return Orientation(g, tuple(out))
 
 
-def _closure(out: Sequence[int], n: int) -> Optional[tuple[list[int], list[int]]]:
-    """Descendant and ancestor masks of a DAG, or None if a directed cycle exists."""
+def _layers(out: Sequence[int], n: int) -> Optional[list[list[int]]]:
+    """Kahn's topological sort, one layer at a time, or None on a directed cycle.
+
+    Layer 0 holds the sources and layer k + 1 the vertices whose highest
+    in-neighbour lies in layer k, so every arc climbs to a higher layer and
+    the number of layers is the number of vertices on a longest directed
+    path.
+    """
     indeg = [0] * n
     for u in range(n):
         m = out[u]
@@ -82,30 +92,39 @@ def _closure(out: Sequence[int], n: int) -> Optional[tuple[list[int], list[int]]
             low = m & -m
             indeg[low.bit_length() - 1] += 1
             m ^= low
-    order = [v for v in range(n) if indeg[v] == 0]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        m = out[u]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-            m ^= low
-    if len(order) != n:
-        return None
+    layer = [v for v in range(n) if indeg[v] == 0]
+    layers = []
+    sorted_count = 0
+    while layer:
+        layers.append(layer)
+        sorted_count += len(layer)
+        nxt = []
+        for u in layer:
+            m = out[u]
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    nxt.append(v)
+                m ^= low
+        layer = nxt
+    return layers if sorted_count == n else None
+
+
+def _reach(out: Sequence[int], layers: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Descendant and ancestor masks of a DAG, from its ``_layers`` taken in reverse."""
+    n = len(out)
     desc = [0] * n
-    for u in reversed(order):
-        d = out[u]
-        m = out[u]
-        while m:
-            low = m & -m
-            d |= desc[low.bit_length() - 1]
-            m ^= low
-        desc[u] = d
+    for layer in reversed(layers):
+        for u in layer:
+            d = out[u]
+            m = out[u]
+            while m:
+                low = m & -m
+                d |= desc[low.bit_length() - 1]
+                m ^= low
+            desc[u] = d
     anc = [0] * n
     for u in range(n):
         m = desc[u]
@@ -150,7 +169,7 @@ def _shortcut(
 
 
 def is_acyclic(o: Orientation) -> bool:
-    return _closure(o.out, o.graph.n) is not None
+    return _layers(o.out, o.graph.n) is not None
 
 
 @dataclass(frozen=True)
@@ -196,13 +215,19 @@ def _bfs_path(out: Sequence[int], src: int, dst: int) -> list[int]:
 
 
 def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
-    """A verifiable shortcut witness of an acyclic orientation, or None."""
+    """A verifiable shortcut witness of an acyclic orientation, or None.
+
+    An orientation with fewer than four layers has none, since a shortcut
+    needs a directed path on four vertices.
+    """
     g = o.graph
     out = o.out
-    closed = _closure(out, g.n)
-    if closed is None:
+    layers = _layers(out, g.n)
+    if layers is None:
         raise ValueError("shortcut search needs an acyclic orientation")
-    hit = _shortcut(g.adj, enumerate(out), *closed)
+    if len(layers) < 4:
+        return None
+    hit = _shortcut(g.adj, enumerate(out), *_reach(out, layers))
     if hit is None:
         return None
     tail, head, x, y = hit
@@ -213,9 +238,20 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
 
 
 def is_semi_transitive(o: Orientation) -> bool:
+    """True iff the orientation is acyclic and has no shortcut.
+
+    The topological layers decide acyclicity.  Fewer than four layers means
+    no directed path has four vertices, so no shortcut can exist and the
+    descendant masks and the shortcut scan are skipped; this is always the
+    case for a colour-level orientation.
+    """
     g = o.graph
-    closed = _closure(o.out, g.n)
-    return closed is not None and _shortcut(g.adj, enumerate(o.out), *closed) is None
+    layers = _layers(o.out, g.n)
+    if layers is None:
+        return False
+    if len(layers) < 4:
+        return True
+    return _shortcut(g.adj, enumerate(o.out), *_reach(o.out, layers)) is None
 
 
 def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
@@ -223,7 +259,8 @@ def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
 
     Any directed path then climbs strictly through {1,2,3}, so it has at most
     three vertices and no shortcut can exist; the result is always
-    semi-transitive.
+    semi-transitive.  Its topological layers number at most three, so
+    ``is_semi_transitive`` re-checks it by the sort alone.
     """
     if len(c.colours) != g.n:
         raise ValueError("colouring length does not match the graph")
@@ -394,7 +431,11 @@ def certify(
     since a searched "no" has no certificate.  The orientation of either
     "yes" route is re-checked with ``is_semi_transitive`` before it is
     returned, a rejected wheel raises ``AssertionError``, and
-    ``BudgetExceededError`` propagates.
+    ``BudgetExceededError`` propagates.  The re-check sorts the orientation
+    into topological layers; a colour-level orientation has at most three,
+    so no directed path on four vertices and no shortcut, and its re-check
+    stops after the sort, while a searched one with four or more layers also
+    gets the shortcut scan.
     """
     found = find_odd_wheel(g)
     if found is not None:

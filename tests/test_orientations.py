@@ -175,8 +175,8 @@ def semi_transitive_by_paths(o: Orientation) -> bool:
 
 @pytest.mark.parametrize(
     "g",
-    [cycle(4), cycle(5), complete(4), wheel(4), wheel(5)],
-    ids=["C4", "C5", "K4", "W4", "W5"],
+    [cycle(4), cycle(5), complete(4), wheel(4), wheel(5), complete(5)],
+    ids=["C4", "C5", "K4", "W4", "W5", "K5"],
 )
 def test_shortcut_scan_matches_definition_on_every_orientation(g):
     any_passes = False
@@ -190,6 +190,42 @@ def test_shortcut_scan_matches_definition_on_every_orientation(g):
             assert (w is None) == expected
             assert w is None or w.verify(o)
     assert (exists_semi_transitive(g) is None) == (not any_passes)
+
+
+def longest_path_vertices(o: Orientation) -> int:
+    """The vertex count of a longest directed path of an acyclic
+    orientation, by enumerating every directed path."""
+    arcs = o.arcs()
+    longest = 0
+    stack = [(v,) for v in range(o.graph.n)]
+    while stack:
+        p = stack.pop()
+        longest = max(longest, len(p))
+        stack.extend(p + (h,) for t, h in arcs if t == p[-1])
+    return longest
+
+
+class TestLayers:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_layers_match_brute_force(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph(n, tuple(e for e in pairs if data.draw(st.booleans())))
+        forward = [data.draw(st.booleans()) for _ in g.edges]
+        o = per_edge(g, forward)
+        layers = orientations._layers(o.out, n)
+        assert (layers is None) == (reference_descendants(o.out) is None)
+        assert is_semi_transitive(o) == semi_transitive_by_paths(o)
+        if layers is None:
+            return
+        assert sorted(v for layer in layers for v in layer) == list(range(n))
+        level = {v: k for k, layer in enumerate(layers) for v in layer}
+        assert all(level[t] < level[h] for t, h in o.arcs())
+        for k in range(1, len(layers)):
+            for v in layers[k]:
+                assert any(o.has_arc(u, v) for u in layers[k - 1])
+        assert len(layers) == longest_path_vertices(o)
 
 
 class TestColourOrientation:
@@ -410,6 +446,32 @@ class TestDecide:
         monkeypatch.setattr(orientations, "exists_semi_transitive", lambda g, budget: cyclic)
         with pytest.raises(AssertionError, match="searched orientation"):
             semi_transitive_certificate(g)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [[(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (1, 2), (2, 3), (0, 3)]],
+        ids=["cycle", "four-layer-shortcut"],
+    )
+    def test_colour_level_certificate_is_rechecked(self, monkeypatch, arcs):
+        # C4 is 3-colourable and holds no odd wheel, so the certificate comes
+        # from the colouring; a directed cycle fails the sort, and the path
+        # 0 -> 1 -> 2 -> 3 closed by 0 -> 3 has four layers and a shortcut.
+        g = cycle(4)
+        bad = orientation_from_arcs(g, arcs)
+        monkeypatch.setattr(orientations, "orientation_from_colouring", lambda g, c: bad)
+        with pytest.raises(AssertionError, match="colour-level orientation"):
+            certify(g)
+
+    def test_colour_route_rechecks_by_layers_alone(self, monkeypatch):
+        def no_reach(out, layers):
+            raise AssertionError("the reach step ran")
+
+        monkeypatch.setattr(orientations, "_reach", no_reach)
+        board = parse_board("cells 3x3")
+        s = forbidden_set(ClosurePolicy.EXTENDED)
+        routes = [classify(triangulate(board, t), s).route for t in enumerate_triangulations(board)]
+        assert "colouring" in routes
+        assert set(routes) <= {"colouring", "odd_wheel"}
 
     def test_odd_wheels_with_extra_vertices_are_certified(self, monkeypatch):
         def no_search(g, budget):
