@@ -86,18 +86,15 @@ def _layers(out: Sequence[int], n: int) -> Optional[list[list[int]]]:
     path.
     """
     indeg = [0] * n
-    for u in range(n):
-        m = out[u]
+    for m in out:
         while m:
             low = m & -m
             indeg[low.bit_length() - 1] += 1
             m ^= low
     layer = [v for v in range(n) if indeg[v] == 0]
     layers = []
-    sorted_count = 0
     while layer:
         layers.append(layer)
-        sorted_count += len(layer)
         nxt = []
         for u in layer:
             m = out[u]
@@ -109,7 +106,7 @@ def _layers(out: Sequence[int], n: int) -> Optional[list[list[int]]]:
                     nxt.append(v)
                 m ^= low
         layer = nxt
-    return layers if sorted_count == n else None
+    return layers if sum(map(len, layers)) == n else None
 
 
 def _reach(out: Sequence[int], layers: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -118,19 +115,18 @@ def _reach(out: Sequence[int], layers: Sequence[Sequence[int]]) -> tuple[list[in
     desc = [0] * n
     for layer in reversed(layers):
         for u in layer:
-            d = out[u]
-            m = out[u]
+            d = m = out[u]
             while m:
                 low = m & -m
                 d |= desc[low.bit_length() - 1]
                 m ^= low
             desc[u] = d
     anc = [0] * n
-    for u in range(n):
-        m = desc[u]
+    for u, m in enumerate(desc):
+        bit = 1 << u
         while m:
             low = m & -m
-            anc[low.bit_length() - 1] |= 1 << u
+            anc[low.bit_length() - 1] |= bit
             m ^= low
     return desc, anc
 
