@@ -18,6 +18,7 @@ Vertical dominoes use the quarter-turn images of the same two patterns.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -310,68 +311,120 @@ def base_graph(board: Board) -> EmbeddedGraph:
     return EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords)
 
 
-def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
-    """Lay the board out once; ``build(t)`` then gives the host of triangulation t.
+# One choice of a slot: (literal character, pairs, row bits, matrix bits).
+# The pairs are the diagonal or chord triple as sorted vertex-id pairs, the
+# row bits (vertex, bit mask) the bits the pairs set in each adjacency row,
+# and the matrix bits both bits of every pair in the adjacency matrix.
+Option = tuple[str, tuple[Edge, ...], tuple[tuple[int, int], ...], int]
 
-    A host is the board's base edges plus one diagonal per unit cell and
-    three chords per domino, sorted.  The template is checked here, once:
-    the base edges, both diagonals of every unit cell and both chord triples
-    of every domino are distinct in-range pairs u < v, the base edges are
-    sorted and the coordinates are distinct.  No choice of diagonals and
-    chords can then give a host that ``Graph`` or ``EmbeddedGraph`` would
-    refuse, so ``build`` copies the base adjacency rows, sets each chosen
-    pair's two bits in them and in the base adjacency matrix, packed once
-    here, and assembles both through ``graphs._prechecked`` without
-    checking each host again.
+
+class _Template(NamedTuple):
+    """A board's hosts, laid out and checked once: everything but the choices.
+
+    ``slots`` holds one (first option, second option) pair per unit cell
+    (slash, backslash) and then per domino (FALL, RISE), in choice-vector
+    order.
+    """
+
+    n: int
+    coords: tuple[Coord, ...]
+    base: list[Edge]
+    rows: tuple[int, ...]
+    matrix: int
+    slots: list[tuple[Option, Option]]
+
+
+def _template(board: Board) -> _Template:
+    """Lay the board out and check its template once.
+
+    The base edges, both diagonals of every unit cell and both chord triples
+    of every domino must be distinct in-range pairs u < v, the base edges
+    sorted and the coordinates distinct.  No choice of diagonals and chords
+    can then give a host that ``Graph`` or ``EmbeddedGraph`` would refuse.
     """
     coords, base, cells, chords = _layout(board)
-    base_host = EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords)
-    n, rows, base_matrix = base_host.graph.n, base_host.graph.adj, base_host.graph.matrix
+    g = EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords).graph
+    n = g.n
     choices = [e for both in cells for e in both]
     choices += [e for fall, rise in chords for e in (*fall, *rise)]
     pairs = base + choices
     if len(set(pairs)) != len(pairs):
         raise ValueError("board template holds a repeated pair")
 
-    def option(e: Edge) -> tuple[Edge, int, int, int, int, int]:
-        """(pair u v, u, bit v, v, bit u, both of the pair's matrix bits),
-        once the pair is checked to be in range."""
-        u, v = e
-        if not 0 <= u < v < n:
-            raise ValueError(f"board template holds an out-of-range pair {e}")
-        return e, u, 1 << v, v, 1 << u, 1 << (u * n + v) | 1 << (v * n + u)
+    def option(char: str, chosen: tuple[Edge, ...]) -> Option:
+        rows: dict[int, int] = {}
+        bits = 0
+        for e in chosen:
+            u, v = e
+            if not 0 <= u < v < n:
+                raise ValueError(f"board template holds an out-of-range pair {e}")
+            rows[u] = rows.get(u, 0) | 1 << v
+            rows[v] = rows.get(v, 0) | 1 << u
+            bits |= 1 << (u * n + v) | 1 << (v * n + u)
+        return char, chosen, tuple(rows.items()), bits
 
-    cell_options = [(option(slash), option(backslash)) for slash, backslash in cells]
-    chord_options = [
-        (tuple(map(option, fall)), tuple(map(option, rise))) for fall, rise in chords
+    slots = [
+        (option(Diag.SLASH.value, (slash,)), option(Diag.BACKSLASH.value, (backslash,)))
+        for slash, backslash in cells
     ]
+    slots += [
+        (option(DominoPattern.FALL.value, fall), option(DominoPattern.RISE.value, rise))
+        for fall, rise in chords
+    ]
+    return _Template(n, coords, base, g.adj, g.matrix, slots)
+
+
+def _assemble(
+    n: int, edges: tuple[Edge, ...], adj: tuple[int, ...], matrix: int, coords: tuple[Coord, ...]
+) -> EmbeddedGraph:
+    """A host from its template's checked parts, without checking it again."""
+    g = _prechecked(Graph, n=n, edges=edges, adj=adj, matrix=matrix)
+    return _prechecked(EmbeddedGraph, graph=g, coords=coords)
+
+
+def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
+    """Lay the board out once; ``build(t)`` then gives the host of triangulation t.
+
+    A host is the board's base edges plus one diagonal per unit cell and
+    three chords per domino, sorted.  The template is checked once, by
+    ``_template``, so ``build`` copies the base adjacency rows, sets the
+    chosen option's bits in them and in the base adjacency matrix, packed
+    once, and assembles both through ``graphs._prechecked`` without checking
+    each host again.  ``walk_hosts`` builds a range of a board's hosts from
+    the same template.
+    """
+    n, coords, base, rows, base_matrix, slots = _template(board)
+    cell_count = len(slots) - len(board.dominoes)
 
     def build(t: Triangulation) -> EmbeddedGraph:
-        if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(chords):
+        if len(t.cell_diag) != cell_count or len(t.domino_pattern) != len(board.dominoes):
             raise ValueError("triangulation shape does not match the board")
-        chosen = [
-            slash if diag is Diag.SLASH else backslash
-            for (slash, backslash), diag in zip(cell_options, t.cell_diag)
-        ]
-        for (fall, rise), pattern in zip(chord_options, t.domino_pattern):
-            chosen += fall if pattern is DominoPattern.FALL else rise
         adj = list(rows)
         matrix = base_matrix
         edges = base.copy()
-        for e, u, bit_v, v, bit_u, bits_uv in chosen:
-            adj[u] |= bit_v
-            adj[v] |= bit_u
-            matrix |= bits_uv
-            edges.append(e)
+        for (first, second), choice in zip(slots, (*t.cell_diag, *t.domino_pattern)):
+            _, pairs, row_bits, bits = first if choice == first[0] else second
+            for v, b in row_bits:
+                adj[v] |= b
+            matrix |= bits
+            edges += pairs
         edges.sort()
-        g = _prechecked(Graph, n=n, edges=tuple(edges), adj=tuple(adj), matrix=matrix)
-        return _prechecked(EmbeddedGraph, graph=g, coords=coords)
+        return _assemble(n, tuple(edges), tuple(adj), matrix, coords)
 
     return build
 
 
 def triangulate(board: Board, t: Triangulation) -> EmbeddedGraph:
     return host_builder(board)(t)
+
+
+def triangulation_count(board: Board) -> int:
+    """2^(unit cells + dominoes); raises ``BudgetExceededError`` when that
+    exponent exceeds the enumeration budget of 20 binary choices."""
+    m = len(board.unit_cells()) + len(board.dominoes)
+    if m > 20:
+        raise BudgetExceededError(f"{m} binary choices exceed the enumeration budget")
+    return 1 << m
 
 
 def enumerate_triangulations(board: Board) -> Iterator[Triangulation]:
@@ -381,15 +434,72 @@ def enumerate_triangulations(board: Board) -> Iterator[Triangulation]:
     choices, FALL before RISE: on a one-domino board, triangulations 2i and
     2i+1 differ only in the domino's pattern.
     """
+    triangulation_count(board)
     cells = board.unit_cells()
-    m = len(cells) + len(board.dominoes)
-    if m > 20:
-        raise BudgetExceededError(f"{m} binary choices exceed the enumeration budget")
     slots = [(Diag.SLASH, Diag.BACKSLASH)] * len(cells)
     slots += [(DominoPattern.FALL, DominoPattern.RISE)] * len(board.dominoes)
     split = len(cells)
     for combo in product(*slots):
         yield Triangulation(combo[:split], combo[split:])
+
+
+HostVisitor = Callable[[str, EmbeddedGraph], object]
+
+
+def walk_hosts(board: Board, start: int, stop: int, visit: HostVisitor) -> None:
+    """Call ``visit(literal, host)`` for hosts start..stop-1 of the board, in
+    ``enumerate_triangulations`` order; a stop past the last host stops there.
+
+    The budget is checked first, as ``enumerate_triangulations`` does, and
+    the board is laid out once by ``_template``.  A depth-first walk over
+    the choice vector then builds each prefix's adjacency rows, matrix,
+    sorted edge list and literal once, shared by every host under it, and
+    skips every subtree outside the range; each leaf is assembled as
+    ``host_builder``'s ``build`` assembles it.  The walk is a module-level
+    function, not a nested closure, so it leaves no reference cycle behind.
+    """
+    count = triangulation_count(board)
+    stop = min(stop, count)
+    if start >= stop:
+        return
+    template = _template(board)
+    _walk(template, visit, 0, 0, count, start, stop,
+          template.rows, template.matrix, template.base, "")
+
+
+def _walk(
+    template: _Template,
+    visit: HostVisitor,
+    depth: int,
+    lo: int,
+    size: int,
+    start: int,
+    stop: int,
+    adj: tuple[int, ...],
+    matrix: int,
+    edges: list[Edge],
+    literal: str,
+) -> None:
+    """The hosts under prefix ``literal`` of ``depth`` choices, which are
+    hosts lo..lo+size-1, clipped to start..stop-1."""
+    half = size >> 1
+    last = depth + 1 == len(template.slots)
+    for char, pairs, row_bits, bits in template.slots[depth]:
+        if lo < stop and start < lo + half:
+            grown = list(adj)
+            for v, b in row_bits:
+                grown[v] |= b
+            merged = edges.copy()
+            for e in pairs:
+                insort(merged, e)
+            if last:
+                host = _assemble(template.n, tuple(merged), tuple(grown), matrix | bits,
+                                 template.coords)
+                visit(literal + char, host)
+            else:
+                _walk(template, visit, depth + 1, lo, half, start, stop, tuple(grown),
+                      matrix | bits, merged, literal + char)
+        lo += half
 
 
 def domino_placements(cell_rows: int, cell_cols: int, axis: Axis) -> list[Domino]:

@@ -42,7 +42,7 @@ from .boards import (
     transform,
     triangulate,
 )
-from .graphs import bits, contains_induced, find_odd_wheel, induced, is_k_colourable
+from .graphs import contains_induced, find_odd_wheel, induced, is_k_colourable
 
 S, B = Diag.SLASH, Diag.BACKSLASH
 F, R = DominoPattern.FALL, DominoPattern.RISE
@@ -440,16 +440,10 @@ def find_forbidden(
         return ForbiddenHit(hit[1], hit[2], via_embedded=True)
     if embedded_only:
         return None
-    odd = g.odd_links
-    hub_hosts: dict[int, int] = {}  # m -> odd-link vertices of degree >= m
-
-    def anchor_mask(m: int) -> int:
-        if m not in hub_hosts:
-            hub_hosts[m] = sum(1 << v for v in bits(odd) if g.degree(v) >= m)
-        return hub_hosts[m]
-
+    odd, at_least, n = g.odd_links, g.at_least, g.n
     for p in _general_patterns():
-        allowed = anchor_mask(p.rim_length)
+        m = p.rim_length
+        allowed = odd & at_least[m] if m < n else 0  # odd-link vertices of degree >= m
         if allowed:
             mapping = contains_induced(g, p.embedded.graph, anchor=(p.hub, allowed))
             if mapping is not None:

@@ -318,29 +318,36 @@ def _induced_search(
         return None
 
     k, adj = pattern.n, host.adj
-    rows = [0] * k  # rows[j]: host row of the image of step j
+    rows = [0] * k  # rows[i]: host row of the image of step i
+    images = [0] * k  # images[i]: bit of the image of step i
+    cands = [0] * k  # cands[i]: candidates of step i not tried yet
     mapping = [-1] * k
-
-    def place(i: int, used: int) -> bool:
-        if i == k:
-            return True
-        p, _, nbrs, non = plan[i]
+    cands[0] = allowed[0]
+    used, i = 0, 0
+    while True:
+        cand = cands[i]
+        if not cand:
+            if not i:
+                return None
+            i -= 1
+            used ^= images[i]
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        h = low.bit_length() - 1
+        mapping[plan[i][0]] = h
+        if i + 1 == k:
+            return tuple(mapping)
+        rows[i], images[i] = adj[h], low
+        used |= low
+        i += 1
+        _, _, nbrs, non = plan[i]
         cand = allowed[i] & ~used
         for j in nbrs:
             cand &= rows[j]
         for j in non:
             cand &= ~rows[j]
-        while cand:
-            low = cand & -cand
-            h = low.bit_length() - 1
-            mapping[p] = h
-            rows[i] = adj[h]
-            if place(i + 1, used | low):
-                return True
-            cand ^= low
-        return False
-
-    return tuple(mapping) if place(0, 0) else None
+        cands[i] = cand
 
 
 def contains_induced(
@@ -387,37 +394,35 @@ def _odd_link(adj: tuple[int, ...], ring: int) -> bool:
 class _OddLinkScan:
     """The parity tests of one graph's neighbourhoods, run lazily in index order.
 
-    ``state`` is (found, untested): the odd-link vertices among the tested
-    ones and the vertices of degree at least 5 not tested yet.  Every tested
-    vertex is below every untested one, so each vertex is tested at most
-    once and the odd-link vertices come out in index order, whichever caller
-    asks first.  The pair is replaced as a whole, so a graph shared between
-    threads never holds one half of a scan's progress without the other.
+    ``state`` is (found, next): the odd-link vertices among the vertices
+    below ``next``, which are all tested, and the first vertex not reached
+    yet.  The scan reaches the vertices one at a time, testing the degree of
+    each as it comes to it and the parity of each of degree at least 5, so
+    each vertex is tested at most once and the odd-link vertices come out in
+    index order, whichever caller asks first.  The pair is replaced as a
+    whole, so a graph shared between threads never holds one half of a
+    scan's progress without the other.
     """
 
     __slots__ = ("adj", "state")
 
     def __init__(self, adj: tuple[int, ...]) -> None:
-        untested = 0
-        for v, ring in enumerate(adj):
-            if ring.bit_count() >= 5:
-                untested |= 1 << v
-        self.adj, self.state = adj, (0, untested)
+        self.adj, self.state = adj, (0, 0)
 
     def lowest_from(self, v: int) -> int:
         """The lowest odd-link vertex at or above v, or -1."""
         above = -1 << v
-        found, untested = self.state
+        found, w = self.state
         hit = found & above
-        if not hit and untested:
+        if not hit:
             adj = self.adj
-            while not hit and untested:
-                low = untested & -untested
-                untested ^= low
-                if _odd_link(adj, adj[low.bit_length() - 1]):
-                    found |= low
+            while not hit and w < len(adj):
+                ring = adj[w]
+                if ring.bit_count() >= 5 and _odd_link(adj, ring):
+                    found |= 1 << w
                     hit = found & above
-            self.state = found, untested
+                w += 1
+            self.state = found, w
         return (hit & -hit).bit_length() - 1
 
 

@@ -23,11 +23,11 @@ from .boards import (
     Board,
     EmbeddedGraph,
     Symmetry,
-    Triangulation,
     domino_placements,
     enumerate_triangulations,
-    host_builder,
     transform_triangulation,
+    triangulation_count,
+    walk_hosts,
 )
 from .catalog import (
     ClosurePolicy,
@@ -226,16 +226,21 @@ def classify(
 
 def _classify_board_range(
     board: Board,
-    triangulations: list[Triangulation],
+    start: int,
+    stop: int,
     policy: ClosurePolicy,
 ) -> list[Classification]:
+    """Classify hosts start..stop-1 of a board, in choice-vector order, each
+    as ``boards.walk_hosts`` builds it."""
     s = forbidden_set(policy)
     board_id = board.spec_string()
-    build = host_builder(board)
-    return [
-        classify(build(t), s, board_id=board_id, triangulation=t.literal())
-        for t in triangulations
-    ]
+    out: list[Classification] = []
+
+    def visit(literal: str, host: EmbeddedGraph) -> None:
+        out.append(classify(host, s, board_id=board_id, triangulation=literal))
+
+    walk_hosts(board, start, stop, visit)
+    return out
 
 
 def classify_board(
@@ -243,17 +248,20 @@ def classify_board(
     policy: ClosurePolicy = ClosurePolicy.EXTENDED,
     jobs: int = 1,
 ) -> list[Classification]:
-    """Classify every triangulation of a board, in choice-vector order."""
-    triangulations = list(enumerate_triangulations(board))
-    if jobs <= 1 or len(triangulations) < 4:
-        return _classify_board_range(board, triangulations, policy)
+    """Classify every triangulation of a board, in choice-vector order.
+
+    With ``jobs`` > 1 each pool job gets one index range of the choice
+    vector, one range per job, and walks it from its own layout.
+    """
+    count = triangulation_count(board)
+    if jobs <= 1 or count < 4:
+        return _classify_board_range(board, 0, count, policy)
     from multiprocessing import get_context  # only a pool needs it
 
-    # One chunk per job; each chunk lays its board out once.
-    chunk = max(1, (len(triangulations) + jobs - 1) // jobs)
-    ranges = [triangulations[i : i + chunk] for i in range(0, len(triangulations), chunk)]
+    chunk = (count + jobs - 1) // jobs
+    ranges = [(board, i, min(i + chunk, count), policy) for i in range(0, count, chunk)]
     with get_context("fork").Pool(jobs) as pool:
-        parts = pool.starmap(_classify_board_range, [(board, part, policy) for part in ranges])
+        parts = pool.starmap(_classify_board_range, ranges)
     return [c for part in parts for c in part]
 
 

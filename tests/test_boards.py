@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordrep import boards
 from wordrep.boards import (
@@ -22,6 +26,7 @@ from wordrep.boards import (
     transform_board,
     transform_triangulation,
     triangulate,
+    walk_hosts,
 )
 from wordrep.errors import BudgetExceededError
 from wordrep.graphs import (
@@ -34,6 +39,18 @@ from wordrep.graphs import (
 )
 
 from reference import reference_base_graph, reference_triangulate
+
+
+def assert_walk_gives(board, start, stop, expected):
+    """``walk_hosts`` over start..stop-1 gives exactly ``expected``, a list of
+    (literal, reference host), compared field by field."""
+    walked = []
+    walk_hosts(board, start, stop, lambda literal, host: walked.append((literal, host)))
+    assert [literal for literal, _ in walked] == [literal for literal, _ in expected]
+    for (literal, host), (_, reference) in zip(walked, expected):
+        g, r = host.graph, reference.graph
+        assert (g.n, g.edges, g.adj, g.matrix) == (r.n, r.edges, r.adj, r.matrix), literal
+        assert host.coords == reference.coords, literal
 
 
 class TestBoardType:
@@ -164,11 +181,45 @@ class TestHostBuilder:
     def test_every_host_equals_the_per_host_reference(self, spec):
         b = parse_board(spec, exploratory=True)
         build = host_builder(b)
+        expected = []
         for t in enumerate_triangulations(b):
             host, reference = build(t), reference_triangulate(b, t)
             # Dataclass equality skips Graph.adj, so the rows are compared too.
             assert host == reference, t.literal()
             assert host.graph.adj == reference.graph.adj, t.literal()
+            expected.append((t.literal(), reference))
+        assert_walk_gives(b, 0, len(expected), expected)
+
+    @given(
+        st.sampled_from(["cells 3x3; domino V 0 1", "cells 2x5; domino H 1 3"]),
+        st.integers(0, 512),
+        st.integers(0, 512),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_walk_gives_exactly_its_range(self, spec, start, stop):
+        b = parse_board(spec)
+        expected = [
+            (t.literal(), reference_triangulate(b, t))
+            for t in list(enumerate_triangulations(b))[start:stop]
+        ]
+        assert_walk_gives(b, start, stop, expected)
+
+    def test_walk_checks_the_budget_before_any_layout(self, monkeypatch):
+        # cells 1x21 has 44 vertices, too many for a Graph: the budget must
+        # be what refuses it.
+        monkeypatch.setattr(boards, "_layout", None)
+        with pytest.raises(BudgetExceededError, match="21 binary choices exceed"):
+            walk_hosts(parse_board("cells 1x21"), 0, 1, lambda literal, host: None)
+
+    def test_walk_leaves_no_garbage(self):
+        b = parse_board("cells 3x3; domino V 0 1")
+        gc.collect()
+        gc.disable()
+        try:
+            walk_hosts(b, 0, 256, lambda literal, host: None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "spec", ["cells 3x3", "cells 3x3; domino V 0 1", "cells 2x5; domino H 1 3"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 import subprocess
 import sys
 
@@ -239,6 +240,29 @@ class TestVerifyTheorem:
         lit, _ = verify_theorem(board, ClosurePolicy.LITERAL, jobs=1)
         assert not lit.violations
         assert len(lit.lemma_mismatches) == 3
+
+    @pytest.mark.parametrize(
+        "spec,embedded,general",
+        [
+            (
+                "cells 3x3; domino V 0 1",
+                0,
+                {"T1": 144, "T2": 48, "B1": 24, "A1": 16, "B2": 4, "A8": 4},
+            ),
+            ("cells 3x3; domino H 1 1", 220, {"T2": 10, "A1": 6, "A8": 4}),
+        ],
+    )
+    def test_matcher_tiers_per_board(self, spec, embedded, general):
+        # The extended closure keeps a horizontal domino horizontal, so the
+        # translation table holds no vertical-domino member and the general
+        # matcher decides every hit of a vertical-domino board.
+        report, cls = verify_theorem(parse_board(spec))
+        assert report.passed
+        assert report.embedded_hits == embedded
+        assert report.general_only_hits == sum(general.values())
+        assert Counter(
+            c.forbidden_hit for c in cls if c.forbidden_hit and c.embedded_hit is None
+        ) == general
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_three_by_two_domino_boards(self, row):
