@@ -311,11 +311,17 @@ def base_graph(board: Board) -> EmbeddedGraph:
     return EmbeddedGraph(Graph(board.vertex_count, tuple(base)), coords)
 
 
-# One choice of a slot: (literal character, pairs, row bits, matrix bits).
-# The pairs are the diagonal or chord triple as sorted vertex-id pairs, the
-# row bits (vertex, bit mask) the bits the pairs set in each adjacency row,
-# and the matrix bits both bits of every pair in the adjacency matrix.
-Option = tuple[str, tuple[Edge, ...], tuple[tuple[int, int], ...], int]
+# The literal characters of slash, backslash, FALL and RISE, read off the
+# members once: each template needs them, and a member's ``value`` is a
+# descriptor lookup.
+_CHARS = tuple(m.value for m in (*Diag, *DominoPattern))
+
+# One pair of a host's choices: (pair u v, u, bit v, v, bit u, both of the
+# pair's bits in the adjacency matrix).
+PairRecord = tuple[Edge, int, int, int, int, int]
+# One choice of a slot: its literal character and the records of its pairs
+# (a diagonal or a domino's chord triple).
+Option = tuple[str, tuple[PairRecord, ...]]
 
 
 class _Template(NamedTuple):
@@ -351,25 +357,16 @@ def _template(board: Board) -> _Template:
     if len(set(pairs)) != len(pairs):
         raise ValueError("board template holds a repeated pair")
 
-    def option(char: str, chosen: tuple[Edge, ...]) -> Option:
-        rows: dict[int, int] = {}
-        bits = 0
-        for e in chosen:
-            u, v = e
-            if not 0 <= u < v < n:
-                raise ValueError(f"board template holds an out-of-range pair {e}")
-            rows[u] = rows.get(u, 0) | 1 << v
-            rows[v] = rows.get(v, 0) | 1 << u
-            bits |= 1 << (u * n + v) | 1 << (v * n + u)
-        return char, chosen, tuple(rows.items()), bits
+    def record(e: Edge) -> PairRecord:
+        u, v = e
+        if not 0 <= u < v < n:
+            raise ValueError(f"board template holds an out-of-range pair {e}")
+        return e, u, 1 << v, v, 1 << u, 1 << (u * n + v) | 1 << (v * n + u)
 
-    slots = [
-        (option(Diag.SLASH.value, (slash,)), option(Diag.BACKSLASH.value, (backslash,)))
-        for slash, backslash in cells
-    ]
+    slash, backslash, fall, rise = _CHARS
+    slots = [((slash, (record(a),)), (backslash, (record(b),))) for a, b in cells]
     slots += [
-        (option(DominoPattern.FALL.value, fall), option(DominoPattern.RISE.value, rise))
-        for fall, rise in chords
+        ((fall, tuple(map(record, a))), (rise, tuple(map(record, b)))) for a, b in chords
     ]
     return _Template(n, coords, base, g.adj, g.matrix, slots)
 
@@ -403,11 +400,11 @@ def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
         matrix = base_matrix
         edges = base.copy()
         for (first, second), choice in zip(slots, (*t.cell_diag, *t.domino_pattern)):
-            _, pairs, row_bits, bits = first if choice == first[0] else second
-            for v, b in row_bits:
-                adj[v] |= b
-            matrix |= bits
-            edges += pairs
+            for e, u, bit_v, v, bit_u, bits_uv in (first if choice == first[0] else second)[1]:
+                adj[u] |= bit_v
+                adj[v] |= bit_u
+                matrix |= bits_uv
+                edges.append(e)
         edges.sort()
         return _assemble(n, tuple(edges), tuple(adj), matrix, coords)
 
@@ -484,21 +481,21 @@ def _walk(
     hosts lo..lo+size-1, clipped to start..stop-1."""
     half = size >> 1
     last = depth + 1 == len(template.slots)
-    for char, pairs, row_bits, bits in template.slots[depth]:
+    for char, records in template.slots[depth]:
         if lo < stop and start < lo + half:
-            grown = list(adj)
-            for v, b in row_bits:
-                grown[v] |= b
-            merged = edges.copy()
-            for e in pairs:
+            grown, merged, grown_matrix = list(adj), edges.copy(), matrix
+            for e, u, bit_v, v, bit_u, bits_uv in records:
+                grown[u] |= bit_v
+                grown[v] |= bit_u
+                grown_matrix |= bits_uv
                 insort(merged, e)
             if last:
-                host = _assemble(template.n, tuple(merged), tuple(grown), matrix | bits,
+                host = _assemble(template.n, tuple(merged), tuple(grown), grown_matrix,
                                  template.coords)
                 visit(literal + char, host)
             else:
                 _walk(template, visit, depth + 1, lo, half, start, stop, tuple(grown),
-                      matrix | bits, merged, literal + char)
+                      grown_matrix, merged, literal + char)
         lo += half
 
 

@@ -423,7 +423,10 @@ def find_forbidden(
     ``odd_links``.  A host without such a vertex contains no pattern, so the
     first thing asked is whether the graph's odd-link scan finds any; a
     matching placement already puts its hub on one, so only a table miss
-    reads the full mask to anchor the general matcher.
+    reads the full mask to anchor the general matcher.  A pattern with rim
+    length m is anchored on ``odd_links & at_least[m]``, the odd-link
+    vertices of degree at least m (none when m is at least the host's
+    order).
     """
     g = host.graph
     if g.first_odd_link() < 0:
@@ -443,7 +446,7 @@ def find_forbidden(
     odd, at_least, n = g.odd_links, g.at_least, g.n
     for p in _general_patterns():
         m = p.rim_length
-        allowed = odd & at_least[m] if m < n else 0  # odd-link vertices of degree >= m
+        allowed = odd & at_least[m] if m < n else 0
         if allowed:
             mapping = contains_induced(g, p.embedded.graph, anchor=(p.hub, allowed))
             if mapping is not None:

@@ -303,7 +303,9 @@ def _induced_search(
     vertices in the host row of the image of every earlier step it is
     adjacent to and in no host row of the image of an earlier step it is not
     adjacent to, tried in ascending index, so the embedding found first is
-    deterministic.
+    deterministic.  The depth-first search keeps each step's untried
+    candidates in an array and loops over the steps instead of recursing
+    through a closure, so a call leaves no reference cycle behind.
     """
     if pattern.n > host.n:
         return None
