@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _prechecked
+from .graphs import Graph, _Frozen, _prechecked
 
 Coord = tuple[int, int]
 Edge = tuple[int, int]  # vertex ids u < v
@@ -80,8 +79,7 @@ def _apply_symmetry(s: Symmetry, rc: Coord, max_row: int, max_col: int) -> Coord
     raise ValueError(s)
 
 
-@dataclass(frozen=True)
-class Domino:
+class Domino(NamedTuple):
     row: int
     col: int
     axis: Axis
@@ -120,8 +118,7 @@ class Domino:
         return ((tl, mr), (tl, br), (ml, br))
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(_Frozen):
     """A cell_rows x cell_cols rectangle of unit cells with disjoint domino tiles.
 
     At most one domino is accepted unless ``exploratory`` is set; the
@@ -131,26 +128,52 @@ class Board:
 
     cell_rows: int
     cell_cols: int
-    dominoes: tuple[Domino, ...] = ()
-    exploratory: bool = False
+    dominoes: tuple[Domino, ...]
+    exploratory: bool
 
-    def __post_init__(self) -> None:
-        if self.cell_rows < 1 or self.cell_cols < 1:
+    def __init__(
+        self,
+        cell_rows: int,
+        cell_cols: int,
+        dominoes: tuple[Domino, ...] = (),
+        exploratory: bool = False,
+    ) -> None:
+        if cell_rows < 1 or cell_cols < 1:
             raise ValueError("board needs at least one cell in each dimension")
         covered: set[Coord] = set()
-        for d in self.dominoes:
+        for d in dominoes:
             for cell in d.cells():
                 r, c = cell
-                if not (0 <= r < self.cell_rows and 0 <= c < self.cell_cols):
+                if not (0 <= r < cell_rows and 0 <= c < cell_cols):
                     raise ValueError(f"domino {d} leaves the board")
                 if cell in covered:
                     raise ValueError(f"domino {d} overlaps another domino")
                 covered.add(cell)
-        if len(self.dominoes) > 1 and not self.exploratory:
+        if len(dominoes) > 1 and not exploratory:
             raise ValueError(
                 "more than one domino requires exploratory=True; "
                 "theorem checks only cover single-domino boards"
             )
+        self.__dict__.update(
+            cell_rows=cell_rows, cell_cols=cell_cols, dominoes=dominoes, exploratory=exploratory
+        )
+
+    def _key(self) -> tuple:
+        return self.cell_rows, self.cell_cols, self.dominoes, self.exploratory
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Board(cell_rows={self.cell_rows!r}, cell_cols={self.cell_cols!r}, "
+            f"dominoes={self.dominoes!r}, exploratory={self.exploratory!r})"
+        )
 
     @property
     def vertex_rows(self) -> int:
@@ -245,18 +268,29 @@ def flip_domino_pattern(t: Triangulation, which: int) -> Triangulation:
     return Triangulation(t.cell_diag, patterns)
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(_Frozen):
     """A graph together with distinct integer grid coordinates per vertex."""
 
     graph: Graph
     coords: tuple[Coord, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.graph.n:
+    def __init__(self, graph: Graph, coords: tuple[Coord, ...]) -> None:
+        if len(coords) != graph.n:
             raise ValueError("one coordinate per vertex required")
-        if len(set(self.coords)) != len(self.coords):
+        if len(set(coords)) != len(coords):
             raise ValueError("coordinates must be distinct")
+        self.__dict__.update(graph=graph, coords=coords)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.coords) == (other.graph, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.coords))
+
+    def __repr__(self) -> str:
+        return f"EmbeddedGraph(graph={self.graph!r}, coords={self.coords!r})"
 
     def coord_index(self) -> dict[Coord, int]:
         return {rc: v for v, rc in enumerate(self.coords)}

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -42,7 +41,7 @@ from .boards import (
     transform,
     triangulate,
 )
-from .graphs import contains_induced, find_odd_wheel, induced, is_k_colourable
+from .graphs import _Frozen, contains_induced, find_odd_wheel, induced, is_k_colourable
 
 S, B = Diag.SLASH, Diag.BACKSLASH
 F, R = DominoPattern.FALL, DominoPattern.RISE
@@ -109,30 +108,55 @@ def readings(d: Drawing) -> tuple[EmbeddedGraph, ...]:
     return tuple(sorted(forms, key=lambda e: e.graph.edge_count))
 
 
-@dataclass(frozen=True)
-class ForbiddenMember:
+class ForbiddenMember(_Frozen):
     """A catalog pattern, a closure member or a corner-closed form.
 
     A base pattern is the identity member of its own name, and the drawing of
     its base pattern says whether a member has a domino.  The odd-wheel hub
     and its rim length m are derived once, when the member is built; they
-    anchor the general matcher.
+    anchor the general matcher, and equality ignores them.
     """
 
     name: str  # e.g. "A3@flip_h"
     base_name: str
     symmetry: Symmetry
     embedded: EmbeddedGraph
-    hub: int = field(init=False, compare=False)
-    rim_length: int = field(init=False, compare=False)
+    hub: int
+    rim_length: int
 
-    def __post_init__(self) -> None:
-        found = find_odd_wheel(self.embedded.graph)
+    def __init__(
+        self, name: str, base_name: str, symmetry: Symmetry, embedded: EmbeddedGraph
+    ) -> None:
+        found = find_odd_wheel(embedded.graph)
         if found is None:
-            raise AssertionError(f"{self.name} has no odd-wheel hub")
+            raise AssertionError(f"{name} has no odd-wheel hub")
         hub, rim = found
-        object.__setattr__(self, "hub", hub)
-        object.__setattr__(self, "rim_length", len(rim))
+        self.__dict__.update(
+            name=name,
+            base_name=base_name,
+            symmetry=symmetry,
+            embedded=embedded,
+            hub=hub,
+            rim_length=len(rim),
+        )
+
+    def _key(self) -> tuple:
+        return self.name, self.base_name, self.symmetry, self.embedded
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ForbiddenMember(name={self.name!r}, base_name={self.base_name!r}, "
+            f"symmetry={self.symmetry!r}, embedded={self.embedded!r}, "
+            f"hub={self.hub!r}, rim_length={self.rim_length!r})"
+        )
 
     @property
     def has_domino(self) -> bool:
@@ -275,11 +299,27 @@ def _image_groups(table: tuple[Placement, ...]) -> tuple[ImageGroup, ...]:
     return tuple(groups.values())
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(_Frozen):
+    """The closure members under one policy, with their placement tables
+    (``_tables``, by host layout), which equality ignores."""
+
     policy: ClosurePolicy
     members: tuple[ForbiddenMember, ...]
-    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _tables: dict[tuple[Coord, ...], tuple[ImageGroup, ...]]
+
+    def __init__(self, policy: ClosurePolicy, members: tuple[ForbiddenMember, ...]) -> None:
+        self.__dict__.update(policy=policy, members=members, _tables={})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.policy, self.members) == (other.policy, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.policy, self.members))
+
+    def __repr__(self) -> str:
+        return f"ForbiddenSet(policy={self.policy!r}, members={self.members!r})"
 
     def placements(self, coords: tuple[Coord, ...]) -> tuple[ImageGroup, ...]:
         """The members' placement table for one host layout, grouped by
@@ -354,8 +394,7 @@ def closure_report() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ForbiddenHit:
+class ForbiddenHit(NamedTuple):
     name: str
     mapping: tuple[int, ...]
     via_embedded: bool

@@ -4,7 +4,9 @@ Vertices are 0..n-1 with n capped at 24 so every adjacency row fits in one
 machine word.  Graphs are immutable values: safe to hash, share, and send
 between workers.  The facts derived from a graph are kept on it, each worked
 out on first use: its adjacency ``matrix`` as one int, its degree classes
-``at_least`` and its odd-link vertices.  The odd links are found by one
+``at_least`` and its odd-link vertices.  The value types are plain classes
+that refuse assignment (``_Frozen``) or named tuples, so importing the
+package pulls in no record machinery.  The odd links are found by one
 resumable scan that runs the parity tests in index order, each vertex at
 most once, and only as far as a caller asks: ``first_odd_link`` stops at the
 first odd-link vertex it needs, ``odd_links`` finishes the scan.
@@ -12,16 +14,15 @@ first odd-link vertex it needs, ``odd_links`` finishes the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import GraphSizeError
 
 MAX_VERTICES = 24
 MAX_PATTERN_VERTICES = 12
 
-_Frozen = TypeVar("_Frozen")
+_T = TypeVar("_T")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -32,29 +33,61 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph; ``edges`` is the sorted tuple of pairs (u, v), u < v."""
+class _Frozen:
+    """Base of the value classes whose constructor checks or derives
+    something: an attribute can be neither assigned nor deleted.
+
+    Each constructor writes its instance ``__dict__`` directly, as
+    ``_prechecked`` does, and so does ``functools.cached_property``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
+    """Simple undirected graph; ``edges`` is the sorted tuple of pairs (u, v), u < v.
+
+    Two graphs are equal when ``n`` and ``edges`` are; ``adj`` (one
+    neighbour mask per vertex) and the facts kept on the graph follow from
+    them.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise GraphSizeError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        masks = [0] * self.n
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if not 0 <= n <= MAX_VERTICES:
+            raise GraphSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        masks = [0] * n
         prev: Optional[tuple[int, int]] = None
-        for e in self.edges:
+        for e in edges:
             u, v = e
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge {e!r} is not a sorted in-range pair")
             if prev is not None and e <= prev:
                 raise ValueError("edges must be strictly sorted (no duplicates)")
             prev = e
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "adj", tuple(masks))
+        self.__dict__.update(n=n, edges=edges, adj=tuple(masks))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -133,10 +166,10 @@ class Graph:
         return cls.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
 
 
-def _prechecked(cls: type[_Frozen], **values: object) -> _Frozen:
-    """An instance of the frozen dataclass ``cls`` holding ``values``, one per
-    field (``Graph``'s ``adj`` included) and any cached property already
-    known (``Graph.matrix``), without running ``__post_init__``.
+def _prechecked(cls: type[_T], **values: object) -> _T:
+    """An instance of the frozen class ``cls`` holding ``values``, one per
+    attribute (``Graph``'s ``adj`` included) and any cached property already
+    known (``Graph.matrix``), without running its checking ``__init__``.
 
     Only for values already checked once for many instances:
     ``boards.host_builder`` checks a board's template once and builds every
@@ -148,8 +181,7 @@ def _prechecked(cls: type[_Frozen], **values: object) -> _Frozen:
     return obj
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(NamedTuple):
     """A vertex colouring; colour values are 1-based."""
 
     colours: tuple[int, ...]
@@ -201,7 +233,10 @@ def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
     empty.  A colour leaves a domain only when the colouring so far, or a
     neighbour's forced last colour, rules it out of every proper extension,
     so a pruned branch holds no witness and the first witness is the one the
-    plain lexicographic backtracking finds.
+    plain lexicographic backtracking finds.  The depth-first search keeps
+    each vertex's domains and untried colours in arrays and loops over the
+    vertices instead of recursing through a closure, so a call leaves no
+    reference cycle behind.
     """
     if k < 0:
         raise ValueError("negative colour count")
@@ -211,25 +246,31 @@ def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
         return None
     n, adj = g.n, g.adj
     assigned = [0] * n
-
-    def extend(v: int, used: int, domains: list[int]) -> bool:
-        if v == n:
-            return True
-        open_ = domains[v] & ((2 << min(k, used + 1)) - 2)
-        while open_:
-            low = open_ & -open_
-            open_ ^= low
-            c = low.bit_length() - 1
-            narrowed = domains.copy()
-            if _narrow(adj, narrowed, v, c):
-                assigned[v] = c
-                if extend(v + 1, max(used, c), narrowed):
-                    return True
-        return False
-
-    if extend(0, 0, [(2 << k) - 2] * n):
-        return Colouring(tuple(assigned))
-    return None
+    levels: list[list[int]] = [[]] * n  # levels[v]: the domains as v is reached
+    untried = [0] * n  # untried[v]: the colours of v not tried yet
+    used = [0] * n  # used[v]: the highest colour below v
+    levels[0] = [(2 << k) - 2] * n
+    untried[0] = 2  # vertex 0 takes colour 1
+    v = 0
+    while True:
+        open_ = untried[v]
+        if not open_:
+            if not v:
+                return None
+            v -= 1
+            continue
+        low = open_ & -open_
+        untried[v] = open_ ^ low
+        c = low.bit_length() - 1
+        narrowed = levels[v].copy()
+        if _narrow(adj, narrowed, v, c):
+            assigned[v] = c
+            v += 1
+            if v == n:
+                return Colouring(tuple(assigned))
+            top = used[v] = max(used[v - 1], c)
+            levels[v] = narrowed
+            untried[v] = narrowed[v] & ((2 << min(k, top + 1)) - 2)
 
 
 def chromatic_number(g: Graph) -> int:

@@ -16,20 +16,18 @@ not word-representable, without any orientation search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Colouring, Graph, bits, cycle, find_odd_wheel, is_k_colourable
+from .graphs import Colouring, Graph, _Frozen, bits, cycle, find_odd_wheel, is_k_colourable
 
 DEFAULT_EDGE_BUDGET = 48
 MAX_SEARCH_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Frozen):
     """A total orientation: ``out[v]`` is the mask of v's out-neighbours.
 
     Every edge of the graph is oriented exactly one way, and every arc is an
@@ -39,16 +37,27 @@ class Orientation:
     graph: Graph
     out: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        g, out = self.graph, self.out
-        if len(out) != g.n:
+    def __init__(self, graph: Graph, out: tuple[int, ...]) -> None:
+        if len(out) != graph.n:
             raise ValueError("one out-neighbour mask per vertex required")
         for v, heads in enumerate(out):
-            if heads & ~g.adj[v]:
+            if heads & ~graph.adj[v]:
                 raise ValueError(f"an arc out of {v} is not an edge of the graph")
-        for u, v in g.edges:
+        for u, v in graph.edges:
             if out[u] >> v & 1 == out[v] >> u & 1:
                 raise ValueError(f"edge ({u}, {v}) needs exactly one direction")
+        self.__dict__.update(graph=graph, out=out)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.out) == (other.graph, other.out)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.out))
+
+    def __repr__(self) -> str:
+        return f"Orientation(graph={self.graph!r}, out={self.out!r})"
 
     def arcs(self) -> list[tuple[int, int]]:
         """Every arc, in edge order."""
@@ -168,8 +177,7 @@ def is_acyclic(o: Orientation) -> bool:
     return _layers(o.out, o.graph.n) is not None
 
 
-@dataclass(frozen=True)
-class ShortcutWitness:
+class ShortcutWitness(NamedTuple):
     """A directed path whose closing arc exists but misses a transitive arc."""
 
     path: tuple[int, ...]

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .boards import (
     Axis,
@@ -51,8 +50,7 @@ from .orientations import certify, exists_semi_transitive, route_of
 YES, NO, BUDGET = "yes", "no", "budget"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     board: str
     triangulation: str
     three_colourable: bool
@@ -62,15 +60,7 @@ class Classification:
     certificate: Optional[dict]
 
     def to_json_obj(self) -> dict:
-        return {
-            "board": self.board,
-            "triangulation": self.triangulation,
-            "three_colourable": self.three_colourable,
-            "word_representable": self.word_representable,
-            "forbidden_hit": self.forbidden_hit,
-            "embedded_hit": self.embedded_hit,
-            "certificate": self.certificate,
-        }
+        return self._asdict()
 
     @property
     def route(self) -> str:
@@ -81,34 +71,52 @@ class Classification:
         return route_of(self.certificate)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     board: str
     triangulation: str
     kind: str
     detail: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "board": self.board,
-            "triangulation": self.triangulation,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
-@dataclass
 class SweepReport:
-    policy: str
-    boards_examined: int = 0
-    triangulations_examined: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    lemma_mismatches: list[Violation] = field(default_factory=list)
-    budget_exceeded: int = 0
-    embedded_hits: int = 0
-    general_only_hits: int = 0
-    board_counts: dict[str, int] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
+    """The counts and violations of a sweep; a board's report merges into
+    its sweep's."""
+
+    def __init__(
+        self,
+        policy: str,
+        boards_examined: int = 0,
+        triangulations_examined: int = 0,
+        violations: Optional[list[Violation]] = None,
+        lemma_mismatches: Optional[list[Violation]] = None,
+        budget_exceeded: int = 0,
+        embedded_hits: int = 0,
+        general_only_hits: int = 0,
+        board_counts: Optional[dict[str, int]] = None,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.policy = policy
+        self.boards_examined = boards_examined
+        self.triangulations_examined = triangulations_examined
+        self.violations = [] if violations is None else violations
+        self.lemma_mismatches = [] if lemma_mismatches is None else lemma_mismatches
+        self.budget_exceeded = budget_exceeded
+        self.embedded_hits = embedded_hits
+        self.general_only_hits = general_only_hits
+        self.board_counts = {} if board_counts is None else board_counts
+        self.elapsed_seconds = elapsed_seconds
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"SweepReport({fields})"
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from wordrep.boards import (
     host_builder,
     parse_board,
     triangulate,
+    walk_hosts,
 )
 from wordrep.catalog import corner_closed_obstructions, minimal_graphs
 from wordrep.errors import GraphSizeError
@@ -160,6 +162,22 @@ class TestColouringExactness:
         assert_same_colourings(
             triangulate(board, t).graph for t in enumerate_triangulations(board)
         )
+
+def test_colouring_leaves_no_garbage():
+    # A self-recursive closure in the colouring would leave one reference
+    # cycle per call (4,096 objects on these hosts), which only the cycle
+    # collector frees.
+    hosts = []
+    walk_hosts(parse_board("cells 3x3"), 0, 512, lambda literal, host: hosts.append(host.graph))
+    gc.collect()
+    gc.disable()
+    try:
+        colourings = [is_k_colourable(g, 3) for g in hosts]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(c is not None for c in colourings) == 32
+
 
 class TestInduced:
     def test_identity(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,29 @@ def test_bench_summary_quartiles_and_pairs(scripts):
             "change": {"q1": 2, "median": 3, "q3": 6},
             "change_better_pairs": wins,
         }
+
+
+@pytest.mark.parametrize("value, cached", [("1", False), ("", True), (None, True)])
+def test_bench_record_notes_the_interpreter(scripts, monkeypatch, tmp_path, value, cached):
+    # Set-up time depends on whether bytecode may be cached, so each side of
+    # a record says so, with the interpreter version.
+    import bench_record
+
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    declared = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["end_to_end"]]
+    monkeypatch.setattr(bench_record, "_describe", lambda checkout: "abc1234")
+    monkeypatch.setattr(
+        bench_record, "_run",
+        lambda checkout, workload, seed, seconds, trace: {"record": {}, **runs_of([1], names)[0]},
+    )
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(tmp_path), "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    for side in bench_record.SIDES:
+        assert written[side]["python"] == sys.version
+        assert written[side]["pythondontwritebytecode"] is not cached
+        assert written[side]["describe"] == "abc1234"
