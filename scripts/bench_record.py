@@ -8,10 +8,14 @@ standard output: the run record and the result line.
 ``runs["<workload>/trace0"]`` of each side is the list of its ten runs in
 pair order, and ``summary["<workload>"]`` holds, per end-to-end metric,
 each side's quartiles and median over those runs and the number of pairs
-in which the change is the better side.  Each side also records its
-interpreter's ``sys.version`` and whether ``PYTHONDONTWRITEBYTECODE`` was
-set: with it set, every set-up compiles ``wordrep`` from source, and
-``setup_s`` reads about 1.7x what it reads with cached bytecode.  Stdlib only.
+in which the change is the better side.  Each side also records what sets
+its ``setup_s`` besides the code: its interpreter's ``sys.version``, whether
+``PYTHONDONTWRITEBYTECODE`` was set, and whether the checkout already held
+compiled bytecode of ``wordrep`` when the recording started.  The variable
+only stops the interpreter from writing bytecode, not from reading it, so
+a set-up compiles ``wordrep`` from source when the variable is set and the
+checkout holds none, and ``setup_s`` then reads about 1.7x what it reads
+with cached bytecode.  Stdlib only.
 
     python scripts/bench_record.py --parent ../wordrep-parent --out BENCH_8.json
     python scripts/bench_record.py --parent ../wordrep-parent --seed 2 --out BENCH_8_seed2.json
@@ -39,11 +43,14 @@ def _describe(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def _interpreter() -> dict:
-    """The interpreter the runs use, and whether it may cache bytecode."""
+def _setup_mode(checkout: Path) -> dict:
+    """The interpreter the runs use, whether it may write bytecode, and
+    whether the checkout holds bytecode of ``wordrep`` it can read."""
+    cache = checkout / "src" / "wordrep" / "__pycache__"
     return {
         "python": sys.version,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "cached_bytecode": any(cache.glob(f"*.{sys.implementation.cache_tag}.pyc")),
     }
 
 
@@ -100,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "summary": {},
         **{
-            side: {"describe": _describe(path), **_interpreter(), "runs": {}}
+            side: {"describe": _describe(path), **_setup_mode(path), "runs": {}}
             for side, path in sides.items()
         },
     }

@@ -184,7 +184,7 @@ class TestHostBuilder:
         expected = []
         for t in enumerate_triangulations(b):
             host, reference = build(t), reference_triangulate(b, t)
-            # Dataclass equality skips Graph.adj, so the rows are compared too.
+            # Graph equality skips Graph.adj, so the rows are compared too.
             assert host == reference, t.literal()
             assert host.graph.adj == reference.graph.adj, t.literal()
             expected.append((t.literal(), reference))

@@ -57,16 +57,23 @@ def test_bench_summary_quartiles_and_pairs(scripts):
         }
 
 
-@pytest.mark.parametrize("value, cached", [("1", False), ("", True), (None, True)])
-def test_bench_record_notes_the_interpreter(scripts, monkeypatch, tmp_path, value, cached):
-    # Set-up time depends on whether bytecode may be cached, so each side of
-    # a record says so, with the interpreter version.
+@pytest.mark.parametrize("value, writes", [("1", False), ("", True), (None, True)])
+@pytest.mark.parametrize("compiled", [False, True])
+def test_bench_record_notes_the_set_up_mode(scripts, monkeypatch, tmp_path, value, writes, compiled):
+    # Set-up time depends on whether bytecode is compiled afresh, so each
+    # side of a record says whether it may be written and whether the
+    # checkout already held some, with the interpreter version.
     import bench_record
 
     if value is None:
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    parent = tmp_path / "parent"
+    cache = parent / "src" / "wordrep" / "__pycache__"
+    cache.mkdir(parents=True)
+    if compiled:
+        (cache / f"graphs.{sys.implementation.cache_tag}.pyc").write_bytes(b"")
     declared = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in declared["end_to_end"]]
     monkeypatch.setattr(bench_record, "_describe", lambda checkout: "abc1234")
@@ -75,9 +82,10 @@ def test_bench_record_notes_the_interpreter(scripts, monkeypatch, tmp_path, valu
         lambda checkout, workload, seed, seconds, trace: {"record": {}, **runs_of([1], names)[0]},
     )
     out = tmp_path / "BENCH.json"
-    assert bench_record.main(["--parent", str(tmp_path), "--out", str(out)]) == 0
+    assert bench_record.main(["--parent", str(parent), "--out", str(out)]) == 0
     written = json.loads(out.read_text())
     for side in bench_record.SIDES:
         assert written[side]["python"] == sys.version
-        assert written[side]["pythondontwritebytecode"] is not cached
+        assert written[side]["pythondontwritebytecode"] is not writes
         assert written[side]["describe"] == "abc1234"
+    assert written["parent"]["cached_bytecode"] is compiled
