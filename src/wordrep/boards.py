@@ -154,8 +154,14 @@ class Board(_Frozen):
                 "more than one domino requires exploratory=True; "
                 "theorem checks only cover single-domino boards"
             )
+        # The unit cells are worked out once per board: parsing a literal and
+        # laying the board out both need them.
+        unit_cells = tuple(
+            (r, c) for r in range(cell_rows) for c in range(cell_cols) if (r, c) not in covered
+        )
         self.__dict__.update(
-            cell_rows=cell_rows, cell_cols=cell_cols, dominoes=dominoes, exploratory=exploratory
+            cell_rows=cell_rows, cell_cols=cell_cols, dominoes=dominoes, exploratory=exploratory,
+            _unit_cells=unit_cells,
         )
 
     def _key(self) -> tuple:
@@ -191,18 +197,9 @@ class Board(_Frozen):
         r, c = rc
         return r * self.vertex_cols + c
 
-    def covered_cells(self) -> frozenset[Coord]:
-        return frozenset(cell for d in self.dominoes for cell in d.cells())
-
     def unit_cells(self) -> tuple[Coord, ...]:
         """Cells not covered by any domino, in row-major order."""
-        covered = self.covered_cells()
-        return tuple(
-            (r, c)
-            for r in range(self.cell_rows)
-            for c in range(self.cell_cols)
-            if (r, c) not in covered
-        )
+        return self._unit_cells
 
     def spec_string(self) -> str:
         parts = [f"cells {self.cell_rows}x{self.cell_cols}"]
@@ -242,17 +239,25 @@ class Triangulation(NamedTuple):
         return "".join(self.cell_diag) + "".join(self.domino_pattern)
 
 
+_DIAG_OF = {m.value: m for m in Diag}
+_PATTERN_OF = {m.value: m for m in DominoPattern}
+
+
 def parse_triangulation(board: Board, literal: str) -> Triangulation:
-    cells = board.unit_cells()
-    expected = len(cells) + len(board.dominoes)
+    cells = len(board.unit_cells())
+    expected = cells + len(board.dominoes)
     if len(literal) != expected:
         raise ValueError(
-            f"triangulation literal needs {len(cells)} diagonal chars plus "
+            f"triangulation literal needs {cells} diagonal chars plus "
             f"{len(board.dominoes)} pattern chars, got {literal!r}"
         )
-    diags = tuple(Diag(ch) for ch in literal[: len(cells)])
-    patterns = tuple(DominoPattern(ch) for ch in literal[len(cells):])
-    return Triangulation(diags, patterns)
+    diags, patterns = literal[:cells], literal[cells:]
+    try:
+        return Triangulation(tuple(map(_DIAG_OF.__getitem__, diags)),
+                             tuple(map(_PATTERN_OF.__getitem__, patterns)))
+    except KeyError:
+        pass  # a character that names no member: the enum raises its own error
+    return Triangulation(tuple(map(Diag, diags)), tuple(map(DominoPattern, patterns)))
 
 
 def flip_domino_pattern(t: Triangulation, which: int) -> Triangulation:
@@ -346,8 +351,8 @@ def base_graph(board: Board) -> EmbeddedGraph:
 
 
 # The literal characters of slash, backslash, FALL and RISE, read off the
-# members once: each template needs them, and a member's ``value`` is a
-# descriptor lookup.
+# members once: each template and one-off host needs them, and a member's
+# ``value`` is a descriptor lookup.
 _CHARS = tuple(m.value for m in (*Diag, *DominoPattern))
 
 # One pair of a host's choices: (pair u v, u, bit v, v, bit u, both of the
@@ -405,48 +410,25 @@ def _template(board: Board) -> _Template:
     return _Template(n, coords, base, g.adj, g.matrix, slots)
 
 
-def _assemble(
-    n: int, edges: tuple[Edge, ...], adj: tuple[int, ...], matrix: int, coords: tuple[Coord, ...]
-) -> EmbeddedGraph:
-    """A host from its template's checked parts, without checking it again."""
-    g = _prechecked(Graph, n=n, edges=edges, adj=adj, matrix=matrix)
-    return _prechecked(EmbeddedGraph, graph=g, coords=coords)
-
-
-def host_builder(board: Board) -> Callable[[Triangulation], EmbeddedGraph]:
-    """Lay the board out once; ``build(t)`` then gives the host of triangulation t.
-
-    A host is the board's base edges plus one diagonal per unit cell and
-    three chords per domino, sorted.  The template is checked once, by
-    ``_template``, so ``build`` copies the base adjacency rows, sets the
-    chosen option's bits in them and in the base adjacency matrix, packed
-    once, and assembles both through ``graphs._prechecked`` without checking
-    each host again.  ``walk_hosts`` builds a range of a board's hosts from
-    the same template.
-    """
-    n, coords, base, rows, base_matrix, slots = _template(board)
-    cell_count = len(slots) - len(board.dominoes)
-
-    def build(t: Triangulation) -> EmbeddedGraph:
-        if len(t.cell_diag) != cell_count or len(t.domino_pattern) != len(board.dominoes):
-            raise ValueError("triangulation shape does not match the board")
-        adj = list(rows)
-        matrix = base_matrix
-        edges = base.copy()
-        for (first, second), choice in zip(slots, (*t.cell_diag, *t.domino_pattern)):
-            for e, u, bit_v, v, bit_u, bits_uv in (first if choice == first[0] else second)[1]:
-                adj[u] |= bit_v
-                adj[v] |= bit_u
-                matrix |= bits_uv
-                edges.append(e)
-        edges.sort()
-        return _assemble(n, tuple(edges), tuple(adj), matrix, coords)
-
-    return build
-
-
 def triangulate(board: Board, t: Triangulation) -> EmbeddedGraph:
-    return host_builder(board)(t)
+    """The host of triangulation t: the board's base edges plus the chosen
+    diagonal of each unit cell and chord triple of each domino, sorted.
+
+    A one-off host is built straight from ``_layout`` through the public
+    constructors, which check it; its ``Graph.matrix`` is packed on first
+    use.  ``walk_hosts`` builds a range of a board's hosts from its checked
+    template instead.
+    """
+    coords, edges, cells, chords = _layout(board)
+    if len(t.cell_diag) != len(cells) or len(t.domino_pattern) != len(chords):
+        raise ValueError("triangulation shape does not match the board")
+    slash, _, fall, _ = _CHARS
+    edges += [slash_e if d == slash else backslash_e
+              for (slash_e, backslash_e), d in zip(cells, t.cell_diag)]
+    for (fall_es, rise_es), p in zip(chords, t.domino_pattern):
+        edges += fall_es if p == fall else rise_es
+    edges.sort()
+    return EmbeddedGraph(Graph(board.vertex_count, tuple(edges)), coords)
 
 
 def triangulation_count(board: Board) -> int:
@@ -485,9 +467,11 @@ def walk_hosts(board: Board, start: int, stop: int, visit: HostVisitor) -> None:
     the board is laid out once by ``_template``.  A depth-first walk over
     the choice vector then builds each prefix's adjacency rows, matrix,
     sorted edge list and literal once, shared by every host under it, and
-    skips every subtree outside the range; each leaf is assembled as
-    ``host_builder``'s ``build`` assembles it.  The walk is a module-level
-    function, not a nested closure, so it leaves no reference cycle behind.
+    skips every subtree outside the range.  Each leaf's ``Graph`` and
+    ``EmbeddedGraph`` are assembled through ``graphs._prechecked``, with
+    the matrix filled in, and not checked again: the template was.  The
+    walk is a module-level function, not a nested closure, so it leaves no
+    reference cycle behind.
     """
     count = triangulation_count(board)
     stop = min(stop, count)
@@ -524,9 +508,9 @@ def _walk(
                 grown_matrix |= bits_uv
                 insort(merged, e)
             if last:
-                host = _assemble(template.n, tuple(merged), tuple(grown), grown_matrix,
-                                 template.coords)
-                visit(literal + char, host)
+                g = _prechecked(Graph, n=template.n, edges=tuple(merged), adj=tuple(grown),
+                                matrix=grown_matrix)
+                visit(literal + char, _prechecked(EmbeddedGraph, graph=g, coords=template.coords))
             else:
                 _walk(template, visit, depth + 1, lo, half, start, stop, tuple(grown),
                       grown_matrix, merged, literal + char)

@@ -112,7 +112,7 @@ class Graph(_Frozen):
     @cached_property
     def matrix(self) -> int:
         """The adjacency matrix as one int: bit u * n + v is set iff u and v
-        are adjacent.  ``boards.host_builder`` fills it in from its board
+        are adjacent.  ``boards.walk_hosts`` fills it in from its board
         template; any other graph works it out on first use."""
         n = self.n
         return sum(a << (u * n) for u, a in enumerate(self.adj))
@@ -172,7 +172,7 @@ def _prechecked(cls: type[_T], **values: object) -> _T:
     known (``Graph.matrix``), without running its checking ``__init__``.
 
     Only for values already checked once for many instances:
-    ``boards.host_builder`` checks a board's template once and builds every
+    ``boards.walk_hosts`` checks a board's template once and builds every
     host's ``Graph`` and ``EmbeddedGraph`` through here.  Every public
     constructor still checks whatever it is given.
     """

@@ -347,7 +347,9 @@ def exists_semi_transitive(
     (out-neighbour, descendant and ancestor masks) and restores them when it
     fails.  Returns the first orientation found, whose masks are the search's
     own out-neighbour list, None after exhausting the space, and raises
-    BudgetExceededError when the graph is beyond the configured budget.
+    BudgetExceededError when the graph is beyond the configured budget.  Its
+    steps are module-level functions over the state lists, not closures, so
+    a search leaves no reference cycle for the cycle collector.
     """
     budget = DEFAULT_EDGE_BUDGET if edge_budget is None else edge_budget
     if g.n > MAX_SEARCH_VERTICES:
@@ -358,62 +360,70 @@ def exists_semi_transitive(
         raise BudgetExceededError(
             f"{g.edge_count} edges exceed the search budget of {budget}"
         )
-    m = g.edge_count
     edges = sorted(g.edges, key=lambda e: (-min(g.degree(e[0]), g.degree(e[1])), e))
-    n = g.n
-    adj = g.adj
-    out = [0] * n
-    desc = [0] * n
-    anc = [0] * n
-
-    def add_arc(t: int, h: int) -> bool:
-        """Orient t -> h and what it forces; False on a cycle or a shortcut."""
-        if desc[h] >> t & 1:
-            return False  # directed cycle
-        sources = anc[t] | 1 << t
-        sinks = desc[h] | 1 << h
-        mask = sources
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            desc[low.bit_length() - 1] |= sinks
-        mask = sinks
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            anc[low.bit_length() - 1] |= sources
-        mask = sources
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            a = low.bit_length() - 1
-            # a reaches every vertex of sinks now, so each edge from a into
-            # sinks is oriented away from a; t -> h is among them.
-            heads = adj[a] & sinks
-            out[a] |= heads
-            if heads and _shortcut(adj, ((a, heads),), desc, anc) is not None:
-                return False
-        return True
-
-    def solve(pos: int, first_branch: bool) -> bool:
-        while pos < m:
-            u, v = edges[pos]
-            if not (out[u] >> v | out[v] >> u) & 1:
-                break  # the first undecided edge
-            pos += 1
-        if pos == m:
-            return True
-        choices = ((u, v),) if first_branch else ((u, v), (v, u))
-        for t, h in choices:
-            saved = out[:], desc[:], anc[:]
-            if add_arc(t, h) and solve(pos + 1, False):
-                return True
-            out[:], desc[:], anc[:] = saved
-        return False
-
-    if solve(0, True):
+    out = [0] * g.n
+    if _solve(edges, g.adj, out, [0] * g.n, [0] * g.n, 0, True):
         return Orientation(g, tuple(out))
     return None
+
+
+
+def _add_arc(
+    adj: tuple[int, ...], out: list[int], desc: list[int], anc: list[int], t: int, h: int
+) -> bool:
+    """Orient t -> h and what it forces; False on a cycle or a shortcut."""
+    if desc[h] >> t & 1:
+        return False  # directed cycle
+    sources = anc[t] | 1 << t
+    sinks = desc[h] | 1 << h
+    mask = sources
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        desc[low.bit_length() - 1] |= sinks
+    mask = sinks
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        anc[low.bit_length() - 1] |= sources
+    mask = sources
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        a = low.bit_length() - 1
+        # a reaches every vertex of sinks now, so each edge from a into
+        # sinks is oriented away from a; t -> h is among them.
+        heads = adj[a] & sinks
+        out[a] |= heads
+        if heads and _shortcut(adj, ((a, heads),), desc, anc) is not None:
+            return False
+    return True
+
+
+def _solve(
+    edges: list[tuple[int, int]], adj: tuple[int, ...], out: list[int], desc: list[int],
+    anc: list[int], pos: int, first_branch: bool,
+) -> bool:
+    """Orient ``edges[pos:]`` in order, each undecided edge u -> v first and
+    then v -> u.  The first undecided edge of the search gets u -> v only:
+    the reverse of a semi-transitive orientation is one too."""
+    m = len(edges)
+    while pos < m:
+        u, v = edges[pos]
+        if not (out[u] >> v | out[v] >> u) & 1:
+            break  # the first undecided edge
+        pos += 1
+    if pos == m:
+        return True
+    choices = ((u, v),) if first_branch else ((u, v), (v, u))
+    for t, h in choices:
+        saved = out[:], desc[:], anc[:]
+        if _add_arc(adj, out, desc, anc, t, h) and _solve(
+            edges, adj, out, desc, anc, pos + 1, False
+        ):
+            return True
+        out[:], desc[:], anc[:] = saved
+    return False
 
 
 def certify(

@@ -19,13 +19,13 @@ from wordrep.boards import (
     domino_placements,
     enumerate_triangulations,
     flip_domino_pattern,
-    host_builder,
     parse_board,
     parse_triangulation,
     transform,
     transform_board,
     transform_triangulation,
     triangulate,
+    triangulation_count,
     walk_hosts,
 )
 from wordrep.errors import BudgetExceededError
@@ -163,6 +163,31 @@ class TestTriangulate:
         with pytest.raises(ValueError):
             parse_triangulation(b, "///")
 
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("/xF", "'x' is not a valid Diag"),
+            ("F/F", "'F' is not a valid Diag"),
+            ("//x", "'x' is not a valid DominoPattern"),
+            ("///", "'/' is not a valid DominoPattern"),
+        ],
+    )
+    def test_bad_character_message(self, literal, message):
+        # The enum's own message, as reading every character through the
+        # enum constructor gave it.
+        b = parse_board("cells 2x2; domino H 0 0")
+        with pytest.raises(ValueError) as caught:
+            parse_triangulation(b, literal)
+        assert str(caught.value) == message
+
+    def test_unit_cells_are_worked_out_once_per_board(self):
+        b = parse_board("cells 3x3; domino V 0 1")
+        assert b.unit_cells() is b.unit_cells()
+        covered = {(0, 1), (1, 1)}
+        assert b.unit_cells() == tuple(
+            (r, c) for r in range(3) for c in range(3) if (r, c) not in covered
+        )
+
 
 class TestHostBuilder:
     BOARDS = [
@@ -180,10 +205,9 @@ class TestHostBuilder:
     @pytest.mark.parametrize("spec", BOARDS)
     def test_every_host_equals_the_per_host_reference(self, spec):
         b = parse_board(spec, exploratory=True)
-        build = host_builder(b)
         expected = []
         for t in enumerate_triangulations(b):
-            host, reference = build(t), reference_triangulate(b, t)
+            host, reference = triangulate(b, t), reference_triangulate(b, t)
             # Graph equality skips Graph.adj, so the rows are compared too.
             assert host == reference, t.literal()
             assert host.graph.adj == reference.graph.adj, t.literal()
@@ -225,16 +249,19 @@ class TestHostBuilder:
         "spec", ["cells 3x3", "cells 3x3; domino V 0 1", "cells 2x5; domino H 1 3"]
     )
     def test_template_fills_the_matrix(self, spec):
-        # build(t) ORs each chosen pair's bits into the board's base matrix;
-        # a graph from the public constructor packs its rows on first use.
+        # The walk ORs each chosen pair's bits into the board's base matrix;
+        # a one-off host, like any graph from the public constructor, packs
+        # its rows on first use, to the same value.
         b = parse_board(spec)
-        build = host_builder(b)
-        for t in enumerate_triangulations(b):
-            g = build(t).graph
-            packed = sum(a << (u * g.n) for u, a in enumerate(g.adj))
-            assert vars(g)["matrix"] == packed, t.literal()
-            fresh = Graph(g.n, g.edges)
-            assert "matrix" not in vars(fresh) and fresh.matrix == packed
+        walked = {}
+        walk_hosts(b, 0, triangulation_count(b),
+                   lambda literal, host: walked.setdefault(literal, host.graph))
+        for literal, w in walked.items():
+            packed = sum(a << (u * w.n) for u, a in enumerate(w.adj))
+            assert vars(w)["matrix"] == packed, literal
+            g = triangulate(b, parse_triangulation(b, literal)).graph
+            assert "matrix" not in vars(g), literal
+            assert g.matrix == vars(w)["matrix"], literal
 
     @pytest.mark.parametrize("spec", BOARDS)
     def test_base_graph_equals_the_reference(self, spec):
@@ -292,16 +319,63 @@ class TestHostBuilder:
             coords = (coords[1],) + coords[1:]
         monkeypatch.setattr(boards, "_layout", lambda board: (coords, base, cells, chords))
         with pytest.raises(ValueError):
-            host_builder(b)
+            walk_hosts(b, 0, 1, lambda literal, host: None)
+
+    @pytest.mark.parametrize(
+        "fault, literal",
+        [
+            ("base edge repeated", "//F"),
+            ("base edge out of range", "//F"),
+            ("diagonal on a base edge", "//F"),
+            ("diagonal out of range", "\\/F"),
+            ("diagonal reversed", "\\/F"),
+            ("chord repeated", "//R"),
+            ("chord out of range", "//R"),
+            ("coordinates repeated", "//F"),
+        ],
+    )
+    def test_one_off_host_is_checked(self, monkeypatch, fault, literal):
+        # A one-off host goes through the public constructors, so a layout
+        # fault that lands in it is refused there.
+        b = parse_board("cells 2x2; domino H 0 0")
+        coords, base, cells, chords = boards._layout(b)
+        (fall, rise), n = chords[0], b.vertex_count
+        if fault == "base edge repeated":
+            base = base[:1] + base
+        elif fault == "base edge out of range":
+            base = base + [(n - 1, n)]
+        elif fault == "diagonal on a base edge":
+            cells = [(base[0], cells[0][1])] + cells[1:]
+        elif fault == "diagonal out of range":
+            cells = [(cells[0][0], (0, n))] + cells[1:]
+        elif fault == "diagonal reversed":
+            cells = [(cells[0][0], cells[0][1][::-1])] + cells[1:]
+        elif fault == "chord repeated":
+            chords = [(fall, (rise[0], *rise[:2]))]
+        elif fault == "chord out of range":
+            chords = [(fall, ((-1, 0), *rise[1:]))]
+        else:
+            coords = (coords[1],) + coords[1:]
+        t = parse_triangulation(b, literal)
+        monkeypatch.setattr(boards, "_layout", lambda board: (coords, list(base), cells, chords))
+        with pytest.raises(ValueError):
+            triangulate(b, t)
+
+    def test_one_off_host_needs_no_template(self, monkeypatch):
+        b = parse_board("cells 3x3; domino V 0 1")
+        expected = [reference_triangulate(b, t) for t in enumerate_triangulations(b)]
+        monkeypatch.setattr(boards, "_template", None)
+        for t, reference in zip(enumerate_triangulations(b), expected):
+            assert triangulate(b, t) == reference, t.literal()
 
     def test_shape_mismatch(self):
-        build = host_builder(parse_board("cells 2x2; domino H 0 0"))
+        b = parse_board("cells 2x2; domino H 0 0")
         for t in (
             Triangulation((Diag.SLASH,) * 3, (DominoPattern.FALL,)),
             Triangulation((Diag.SLASH,) * 2, ()),
         ):
             with pytest.raises(ValueError, match="does not match the board"):
-                build(t)
+                triangulate(b, t)
 
 
 class TestEnumeration:

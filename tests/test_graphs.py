@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from wordrep.boards import (
     enumerate_triangulations,
-    host_builder,
     parse_board,
     triangulate,
     walk_hosts,
@@ -293,11 +292,10 @@ class TestSearchPlans:
         # find_forbidden anchors it: its hub on the odd-link vertices of
         # degree at least its rim length.
         board = parse_board(spec)
-        build = host_builder(board)
         patterns = [*minimal_graphs(), *corner_closed_obstructions()]
         found = 0
         for t in enumerate_triangulations(board):
-            g = build(t).graph
+            g = triangulate(board, t).graph
             odd = g.odd_links
             for p in patterns:
                 allowed = sum(1 << v for v in bits(odd) if g.degree(v) >= p.rim_length)
@@ -526,9 +524,8 @@ class TestOddLinks:
 
     def test_scan_order_changes_nothing_on_board_hosts(self):
         b = parse_board("cells 3x3; domino V 0 1")
-        build = host_builder(b)
         for t in enumerate_triangulations(b):
-            self.assert_scan_order_free(lambda: build(t).graph)
+            self.assert_scan_order_free(lambda: triangulate(b, t).graph)
 
     @given(graphs(max_n=8))
     @settings(max_examples=80, deadline=None)

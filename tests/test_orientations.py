@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from pathlib import Path
@@ -38,6 +39,7 @@ from wordrep.orientations import (
     semi_transitive_certificate,
 )
 from wordrep.verify import classify
+from wordrep.words import graph_of_word
 
 from reference import (
     reference_check_odd_wheel,
@@ -293,6 +295,25 @@ class TestSearch:
             exists_semi_transitive(complete(11))
         with pytest.raises(BudgetExceededError):
             exists_semi_transitive(cycle(5), edge_budget=3)
+
+    def test_search_leaves_no_garbage(self):
+        # A search built from a self-recursive closure would leave one
+        # reference cycle per call, which only the cycle collector frees.
+        words = [
+            (0, 1, 2, 3, 0, 2, 1, 3, 4, 0, 4, 2),
+            (0, 1, 2, 0, 3, 1, 4, 2, 3, 5, 4, 0, 5, 1),
+            (3, 0, 4, 1, 5, 2, 0, 3, 1, 4, 2, 5, 6, 0, 6, 3),
+        ]
+        graphs = [complete(4), wheel(5), wheel(6), cycle(5)]
+        graphs += [graph_of_word(w, max(w) + 1) for w in words]
+        gc.collect()
+        gc.disable()
+        try:
+            found = [exists_semi_transitive(g) for g in graphs]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert [o is not None for o in found] == [True, False, True, True, True, True, True]
 
 
 def reference_search(g: Graph) -> Optional[tuple[bool, ...]]:

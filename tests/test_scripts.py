@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +26,21 @@ def test_catalog_report_runs(scripts, capsys):
     assert len(patterns) == 12
     assert all("chi=4 semi-transitive=no" in line for line in patterns)
     assert any("catalog verification: passed=True violations=0" in line for line in lines)
+
+
+def test_profile_workload_runs_one_pass():
+    # A child process, since loading the benchmark's families puts its own
+    # modules on the path.
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "profile_workload.py"), "colourable",
+         "--seed", "1", "--passes", "1", "--top", "5"],
+        capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload=colourable seed=1 passes=1 items=240 failed=0"
+    assert any("Ordered by: internal time" in line for line in lines)
+    assert any("tottime" in line and "filename:lineno(function)" in line for line in lines)
 
 
 def runs_of(values: list[float], metrics: list[str]) -> list[dict]:
