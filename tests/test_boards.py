@@ -30,7 +30,6 @@ from wordrep.boards import (
 )
 from wordrep.errors import BudgetExceededError
 from wordrep.graphs import (
-    Graph,
     are_isomorphic,
     chromatic_number,
     cycle,
