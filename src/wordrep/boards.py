@@ -126,6 +126,7 @@ class Board(_Frozen):
     multi-domino boards exist only for exploration.
     """
 
+    _compared = ("cell_rows", "cell_cols", "dominoes", "exploratory")
     cell_rows: int
     cell_cols: int
     dominoes: tuple[Domino, ...]
@@ -162,23 +163,6 @@ class Board(_Frozen):
         self.__dict__.update(
             cell_rows=cell_rows, cell_cols=cell_cols, dominoes=dominoes, exploratory=exploratory,
             _unit_cells=unit_cells,
-        )
-
-    def _key(self) -> tuple:
-        return self.cell_rows, self.cell_cols, self.dominoes, self.exploratory
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Board(cell_rows={self.cell_rows!r}, cell_cols={self.cell_cols!r}, "
-            f"dominoes={self.dominoes!r}, exploratory={self.exploratory!r})"
         )
 
     @property
@@ -276,6 +260,7 @@ def flip_domino_pattern(t: Triangulation, which: int) -> Triangulation:
 class EmbeddedGraph(_Frozen):
     """A graph together with distinct integer grid coordinates per vertex."""
 
+    _compared = ("graph", "coords")
     graph: Graph
     coords: tuple[Coord, ...]
 
@@ -285,17 +270,6 @@ class EmbeddedGraph(_Frozen):
         if len(set(coords)) != len(coords):
             raise ValueError("coordinates must be distinct")
         self.__dict__.update(graph=graph, coords=coords)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.coords) == (other.graph, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.coords))
-
-    def __repr__(self) -> str:
-        return f"EmbeddedGraph(graph={self.graph!r}, coords={self.coords!r})"
 
     def coord_index(self) -> dict[Coord, int]:
         return {rc: v for v, rc in enumerate(self.coords)}

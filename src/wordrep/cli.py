@@ -34,7 +34,13 @@ EXIT_INCONCLUSIVE = 3
 
 def _load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as f:
-        return Graph.from_json_obj(json.load(f))
+        obj = json.load(f)
+    try:  # a malformed file is a usage error, not a crash
+        if type(obj["n"]) is not int:
+            raise TypeError(f"n must be an integer, got {obj['n']!r}")
+        return Graph.from_json_obj(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a graph file: {exc!r}") from None
 
 
 def _policy(value: str) -> ClosurePolicy:

@@ -15,6 +15,7 @@ first odd-link vertex it needs, ``odd_links`` finishes the scan.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import GraphSizeError
@@ -37,11 +38,34 @@ class _Frozen:
     """Base of the value classes whose constructor checks or derives
     something: an attribute can be neither assigned nor deleted.
 
-    Each constructor writes its instance ``__dict__`` directly, as
-    ``_prechecked`` does, and so does ``functools.cached_property``.
+    Each subclass names ``_compared``, the fields that equality and the hash
+    read; its other fields follow from them or are caches.  The repr shows
+    ``_shown``, by default the compared fields.  Each constructor writes its
+    instance ``__dict__`` directly, as ``_prechecked`` does, and so does
+    ``functools.cached_property``.
     """
 
     __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if not cls._compared:
+            raise TypeError(f"{cls.__name__} names no compared field")
+        cls._shown = cls.__dict__.get("_shown", cls._compared)
+        # C code, since hashing a graph is on the search-plan cache's path.
+        cls._key_of = staticmethod(attrgetter(*cls._compared))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key_of(self) == self._key_of(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key_of(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -58,6 +82,7 @@ class Graph(_Frozen):
     them.
     """
 
+    _compared = ("n", "edges")
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[int, ...]
@@ -77,17 +102,6 @@ class Graph(_Frozen):
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.__dict__.update(n=n, edges=edges, adj=tuple(masks))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:

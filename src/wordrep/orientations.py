@@ -34,6 +34,7 @@ class Orientation(_Frozen):
     edge; the constructor refuses anything else.
     """
 
+    _compared = ("graph", "out")
     graph: Graph
     out: tuple[int, ...]
 
@@ -47,17 +48,6 @@ class Orientation(_Frozen):
             if out[u] >> v & 1 == out[v] >> u & 1:
                 raise ValueError(f"edge ({u}, {v}) needs exactly one direction")
         self.__dict__.update(graph=graph, out=out)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.out) == (other.graph, other.out)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.out))
-
-    def __repr__(self) -> str:
-        return f"Orientation(graph={self.graph!r}, out={self.out!r})"
 
     def arcs(self) -> list[tuple[int, int]]:
         """Every arc, in edge order."""

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 
 import pytest
 
@@ -85,6 +87,26 @@ class TestPatterns:
             monkeypatch.undo()
             cat.minimal_graphs.cache_clear()
             assert len(cat.minimal_graphs()) == 12
+
+    def test_drawings_match_the_former_sha256_digests(self):
+        # The digests were the first 16 hex digits of SHA-256 until the check
+        # moved to zlib; the drawings still give the values frozen then.
+        former = {
+            "T1": "26bf4f6c48baee20", "T2": "69b1764788222153",
+            "A1": "efde74dda36be5a2", "A2": "65cc25025975524d",
+            "A3": "09ef490cfee9b03e", "A4": "d995ba43fd58b936",
+            "A5": "4311551b5d765206", "A6": "b627ff4944b11355",
+            "A7": "98bf5fa310127c8d", "A8": "63a30ef63d83595c",
+            "B1": "37521bc232e9bbde", "B2": "ca1753394e0bcd84",
+        }
+        assert set(PATTERNS) == set(former) == set(catalog.FIXTURE_DIGESTS)
+        for name, p in PATTERNS.items():
+            payload = json.dumps(
+                {"coords": list(p.embedded.coords),
+                 "edges": [list(e) for e in p.embedded.graph.edges]},
+                separators=(",", ":"),
+            )
+            assert hashlib.sha256(payload.encode()).hexdigest()[:16] == former[name], name
 
     def test_drawing_must_name_every_cell(self):
         t1 = DRAWINGS["T1"]

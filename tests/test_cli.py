@@ -164,6 +164,31 @@ class TestColour:
         assert "argument --colours: must be at least 0, got -1" in err
 
 
+MALFORMED_GRAPH_FILES = {
+    "no-n": {"edges": [[0, 1]]},
+    "not-an-object": [1, 2],
+    "string-vertex": {"n": 2, "edges": [[0, "1"]]},
+    "float-vertex": {"n": 2, "edges": [[0, 1.0]]},
+    "float-n": {"n": 2.5, "edges": []},
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["decide"], ["colour"], ["check-word", "--word", "1212"]],
+    ids=["decide", "colour", "check-word"],
+)
+@pytest.mark.parametrize("obj", MALFORMED_GRAPH_FILES.values(), ids=MALFORMED_GRAPH_FILES)
+def test_malformed_graph_file_is_a_usage_error(command, obj, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(*command, "--graph", str(path))
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert str(path) in err
+
+
 class TestEnumerate:
     def test_hexagon(self):
         rc, out, _ = run_cli("enumerate", "--board", "cells 1x2; domino H 0 0")

@@ -1,10 +1,12 @@
 """Value semantics of the library's record types, and what importing it loads.
 
 Plain records are named tuples; the types whose constructor checks or
-derives something are plain classes that refuse assignment.  Either way,
-equality and hashing read exactly the compared fields, values survive
-pickling (the ``--jobs`` pool sends boards and returns classifications),
-and the repr shows the fields as the constructor takes them.
+derives something are plain classes that refuse assignment, and their one
+base, ``graphs._Frozen``, derives equality, the hash and the repr from the
+fields each class names as compared.  Either way, equality and hashing read
+exactly the compared fields, values survive pickling (the ``--jobs`` pool
+sends boards and returns classifications), and the repr shows the fields as
+the constructor takes them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from wordrep.catalog import (
     ForbiddenSet,
     minimal_graphs,
 )
-from wordrep.graphs import Colouring, Graph, _prechecked
+from wordrep.graphs import Colouring, Graph, _Frozen, _prechecked
 from wordrep.orientations import Orientation, ShortcutWitness
 from wordrep.verify import Classification, SweepReport, Violation
 
@@ -261,8 +263,25 @@ def test_start_up_imports_no_record_machinery():
         "import wordrep.cli\n"
         "from wordrep.catalog import ClosurePolicy, forbidden_set\n"
         "forbidden_set(ClosurePolicy.EXTENDED)\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+def test_values_of_different_types_are_unequal(case):
+    a = make(case)
+    for other in CASES.values():
+        if other is not case:
+            assert a != make(other) and not a == make(other), other.cls.__name__
+    assert a != object() and not a == object()
+    assert a.__eq__(object()) is NotImplemented
+
+
+def test_a_frozen_type_must_name_its_compared_fields():
+    with pytest.raises(TypeError, match="names no compared field"):
+
+        class Nameless(_Frozen):
+            pass
