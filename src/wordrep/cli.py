@@ -36,11 +36,12 @@ def _load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as f:
         obj = json.load(f)
     try:  # a malformed file is a usage error, not a crash
-        if type(obj["n"]) is not int:
-            raise TypeError(f"n must be an integer, got {obj['n']!r}")
+        for x in (obj["n"], *(v for e in obj["edges"] for v in e)):
+            if type(x) is not int:
+                raise TypeError(f"{x!r} is not an integer")
         return Graph.from_json_obj(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not a graph file: {exc!r}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _policy(value: str) -> ClosurePolicy:

@@ -170,6 +170,8 @@ MALFORMED_GRAPH_FILES = {
     "string-vertex": {"n": 2, "edges": [[0, "1"]]},
     "float-vertex": {"n": 2, "edges": [[0, 1.0]]},
     "float-n": {"n": 2.5, "edges": []},
+    "bool-vertex": {"n": 2, "edges": [[0, True]]},
+    "one-ended-edge": {"n": 2, "edges": [[0]]},
 }
 
 
