@@ -14,9 +14,9 @@ first odd-link vertex it needs, ``odd_links`` finishes the scan.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import GraphSizeError
 
@@ -34,6 +34,27 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _kept:
+    """A fact worked out from an instance on first read and kept in its
+    ``__dict__``, which later reads find first (a non-data descriptor).
+
+    ``functools.cached_property`` does the same, but on Python 3.11 its
+    ``__get__`` takes a lock on every first read; nothing here is shared
+    between threads while it is worked out, so no lock is taken.
+    """
+
+    def __init__(self, work: Callable[[Any], Any]) -> None:
+        self.work = work
+        self.name = work.__name__
+        self.__doc__ = work.__doc__
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.work(obj)
+        return value
+
+
 class _Frozen:
     """Base of the value classes whose constructor checks or derives
     something: an attribute can be neither assigned nor deleted.
@@ -42,7 +63,7 @@ class _Frozen:
     read; its other fields follow from them or are caches.  The repr shows
     ``_shown``, by default the compared fields.  Each constructor writes its
     instance ``__dict__`` directly, as ``_prechecked`` does, and so does
-    ``functools.cached_property``.
+    ``_kept``.
     """
 
     __slots__ = ()
@@ -123,7 +144,7 @@ class Graph(_Frozen):
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    @cached_property
+    @_kept
     def matrix(self) -> int:
         """The adjacency matrix as one int: bit u * n + v is set iff u and v
         are adjacent.  ``boards.walk_hosts`` fills it in from its board
@@ -131,7 +152,7 @@ class Graph(_Frozen):
         n = self.n
         return sum(a << (u * n) for u, a in enumerate(self.adj))
 
-    @cached_property
+    @_kept
     def at_least(self) -> tuple[int, ...]:
         """``at_least[d]``: bit mask of the vertices of degree at least d, for d < n."""
         out = [0] * self.n
@@ -141,7 +162,7 @@ class Graph(_Frozen):
             out[d] |= out[d + 1]
         return tuple(out)
 
-    @cached_property
+    @_kept
     def _odd_scan(self) -> _OddLinkScan:
         return _OddLinkScan(self.adj)
 
@@ -182,7 +203,7 @@ class Graph(_Frozen):
 
 def _prechecked(cls: type[_T], **values: object) -> _T:
     """An instance of the frozen class ``cls`` holding ``values``, one per
-    attribute (``Graph``'s ``adj`` included) and any cached property already
+    attribute (``Graph``'s ``adj`` included) and any kept fact already
     known (``Graph.matrix``), without running its checking ``__init__``.
 
     Only for values already checked once for many instances:

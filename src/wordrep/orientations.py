@@ -7,7 +7,10 @@ exactly when it admits a semi-transitive orientation.  The checks sort an
 orientation into topological layers first: a directed cycle leaves vertices
 unsorted, and an orientation with fewer than four layers has no directed
 path on four vertices, hence no shortcut, so only a taller one pays for the
-descendant masks and the shortcut scan.  ``certify`` is the one
+descendant masks and the shortcut scan.  The scan is one exact test per arc
+tail, ``_tail_shortcut``, over transitively closed descendant and ancestor
+masks; the checks run it on every tail and the search on every tail its
+newest arc extends.  ``certify`` is the one
 decision procedure: it decides by an induced odd wheel, a 3-colouring or the
 exhaustive search, in that order, and returns the verdict's certificate.
 ``check_odd_wheel`` re-checks an induced odd wheel as proof that a graph is
@@ -130,36 +133,60 @@ def _reach(out: Sequence[int], layers: Sequence[Sequence[int]]) -> tuple[list[in
     return desc, anc
 
 
-def _shortcut(
-    adj: tuple[int, ...],
-    arcs: Iterable[tuple[int, int]],
-    desc: Sequence[int],
-    anc: Sequence[int],
-) -> Optional[tuple[int, int, int, int]]:
-    """First completed shortcut among ``arcs`` as (tail, head, x, y), or None.
+def _tail_shortcut(
+    adj: tuple[int, ...], desc: Sequence[int], anc: Sequence[int], a: int, heads: int
+) -> Optional[tuple[int, int]]:
+    """(x, y) of a shortcut closing on some arc a -> v, v in ``heads``, or None.
 
-    ``arcs`` yields (tail, mask of heads) pairs; the arcs are scanned in that
-    order, heads ascending.  The arc tail -> head is present, x and y lie in
-    that order on a directed path from tail to head, and x, y are not
-    adjacent.  On a partial orientation the shortcut persists under any
-    extension: arcs are only ever added, so reachability grows and
-    non-adjacent pairs stay non-adjacent.
+    ``desc`` and ``anc`` must be transitively closed.  Let ``above`` be the
+    union of anc(v) over the heads, and Z = ``above`` + heads.  A shortcut
+    closes on one of these arcs iff some x in desc(a) + a, x in ``above``,
+    has a non-neighbour y in desc(x) and Z.  If: y reaches or is some head
+    v, so x reaches v, and x, y lie in that order on a directed path from a
+    to v.  Only if: x and y of a shortcut on a -> v lie between a and v,
+    and x reaches y, so x is not v but one of its ancestors.  Each x costs
+    one test, whatever the number of heads; x is the lowest such vertex and
+    y its lowest such descendant.  On a partial orientation the shortcut
+    persists under any extension: arcs are only ever added, so reachability
+    grows and non-adjacent pairs stay non-adjacent.
     """
-    for u, heads in arcs:
-        reach = desc[u] | 1 << u
-        while heads:
-            low = heads & -heads
-            v = low.bit_length() - 1
-            heads ^= low
-            between = reach & (anc[v] | low)
-            probe = between
-            while probe:
-                lp = probe & -probe
-                x = lp.bit_length() - 1
-                probe ^= lp
-                bad = desc[x] & between & ~adj[x] & ~lp
-                if bad:
-                    return u, v, x, (bad & -bad).bit_length() - 1
+    if heads & (heads - 1):
+        above = 0
+        m = heads
+        while m:
+            low = m & -m
+            m ^= low
+            above |= anc[low.bit_length() - 1]
+    else:
+        above = anc[heads.bit_length() - 1]
+    z = above | heads
+    probe = (desc[a] | 1 << a) & above
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        x = low.bit_length() - 1
+        bad = desc[x] & z & ~adj[x]
+        if bad:
+            return x, (bad & -bad).bit_length() - 1
+    return None
+
+
+def _first_shortcut(
+    adj: tuple[int, ...], out: Sequence[int], layers: Sequence[Sequence[int]]
+) -> Optional[tuple[int, int, int, int]]:
+    """First shortcut of an acyclic orientation as (tail, head, x, y), or None.
+
+    One ``_tail_shortcut`` test per arc tail, tails ascending; the head is
+    the lowest head of that tail that y reaches or is.
+    """
+    desc, anc = _reach(out, layers)
+    for a, heads in enumerate(out):
+        if heads:
+            hit = _tail_shortcut(adj, desc, anc, a, heads)
+            if hit is not None:
+                x, y = hit
+                ends = heads & (desc[y] | 1 << y)
+                return a, (ends & -ends).bit_length() - 1, x, y
     return None
 
 
@@ -221,7 +248,7 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
         raise ValueError("shortcut search needs an acyclic orientation")
     if len(layers) < 4:
         return None
-    hit = _shortcut(g.adj, enumerate(out), *_reach(out, layers))
+    hit = _first_shortcut(g.adj, out, layers)
     if hit is None:
         return None
     tail, head, x, y = hit
@@ -245,7 +272,7 @@ def is_semi_transitive(o: Orientation) -> bool:
         return False
     if len(layers) < 4:
         return True
-    return _shortcut(g.adj, enumerate(o.out), *_reach(o.out, layers)) is None
+    return _first_shortcut(g.adj, o.out, layers) is None
 
 
 def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
@@ -324,18 +351,23 @@ def exists_semi_transitive(
 ) -> Optional[Orientation]:
     """Exhaustive search for a semi-transitive orientation.
 
-    Backtracks over edges (most-constrained-first) and keeps the descendant
-    and ancestor masks of the partial orientation for the whole search.
-    Orienting an edge t -> h fails at once if h already reaches t; otherwise
-    every vertex of A = anc(t) + t gains B = desc(h) + h as descendants.  Each
-    undecided edge between A and B is then forced from A to B, and the search
-    prunes as soon as one of the arcs from A to B closes a shortcut: these
-    are the only arcs whose in-between sets the new reachability grows, so a
-    new shortcut must close on one of them.  Forced arcs join vertices that
-    already reach each other and leave reachability as it is, so one update
-    per branch reaches the fixpoint.  A branch saves the three state lists
-    (out-neighbour, descendant and ancestor masks) and restores them when it
-    fails.  Returns the first orientation found, whose masks are the search's
+    Backtracks over edges (most-constrained-first, by a degree list worked
+    out once) and keeps the descendant and ancestor masks of the partial
+    orientation, transitively closed, for the whole search.  Orienting an
+    edge t -> h fails at once if h already reaches t; otherwise every vertex
+    of A = anc(t) + t gains B = desc(h) + h as descendants.  Each undecided
+    edge between A and B is then forced from A to B, and the search prunes
+    as soon as one of the arcs from A to B closes a shortcut: these are the
+    only arcs whose in-between sets the new reachability grows, so a new
+    shortcut must close on one of them.  ``_add_arc`` asks this of each
+    tail in A with heads in B in one ``_tail_shortcut`` test, which is exact
+    (see there), so a branch is accepted or pruned as by a scan of each arc
+    on its own.  Forced arcs join vertices that already reach each other
+    and leave reachability as it is, so one update per branch reaches the
+    fixpoint.  A search node saves the three state lists (out-neighbour,
+    descendant and ancestor masks) once and restores them when its first
+    branch fails; the root has one branch and saves nothing.  Returns the
+    first orientation found, whose masks are the search's
     own out-neighbour list, None after exhausting the space, and raises
     BudgetExceededError when the graph is beyond the configured budget.  Its
     steps are module-level functions over the state lists, not closures, so
@@ -350,18 +382,25 @@ def exists_semi_transitive(
         raise BudgetExceededError(
             f"{g.edge_count} edges exceed the search budget of {budget}"
         )
-    edges = sorted(g.edges, key=lambda e: (-min(g.degree(e[0]), g.degree(e[1])), e))
+    degree = [a.bit_count() for a in g.adj]
+    edges = sorted(g.edges, key=lambda e: (-min(degree[e[0]], degree[e[1]]), e))
     out = [0] * g.n
     if _solve(edges, g.adj, out, [0] * g.n, [0] * g.n, 0, True):
         return Orientation(g, tuple(out))
     return None
 
 
-
 def _add_arc(
     adj: tuple[int, ...], out: list[int], desc: list[int], anc: list[int], t: int, h: int
 ) -> bool:
-    """Orient t -> h and what it forces; False on a cycle or a shortcut."""
+    """Orient t -> h and what it forces; False on a cycle or a shortcut.
+
+    Every vertex a of anc(t) + t comes to reach every vertex of desc(h) + h,
+    so each edge from a into that set is oriented away from a, t -> h among
+    them; then one ``_tail_shortcut`` test per such tail asks whether any of
+    its arcs into the set closes a shortcut.  The masks stay transitively
+    closed, as that test needs.
+    """
     if desc[h] >> t & 1:
         return False  # directed cycle
     sources = anc[t] | 1 << t
@@ -381,12 +420,11 @@ def _add_arc(
         low = mask & -mask
         mask ^= low
         a = low.bit_length() - 1
-        # a reaches every vertex of sinks now, so each edge from a into
-        # sinks is oriented away from a; t -> h is among them.
         heads = adj[a] & sinks
-        out[a] |= heads
-        if heads and _shortcut(adj, ((a, heads),), desc, anc) is not None:
-            return False
+        if heads:
+            out[a] |= heads
+            if _tail_shortcut(adj, desc, anc, a, heads) is not None:
+                return False
     return True
 
 
@@ -405,15 +443,19 @@ def _solve(
         pos += 1
     if pos == m:
         return True
-    choices = ((u, v),) if first_branch else ((u, v), (v, u))
-    for t, h in choices:
-        saved = out[:], desc[:], anc[:]
-        if _add_arc(adj, out, desc, anc, t, h) and _solve(
+    if first_branch:
+        return _add_arc(adj, out, desc, anc, u, v) and _solve(
             edges, adj, out, desc, anc, pos + 1, False
-        ):
-            return True
-        out[:], desc[:], anc[:] = saved
-    return False
+        )
+    saved = out[:], desc[:], anc[:]
+    if _add_arc(adj, out, desc, anc, u, v) and _solve(
+        edges, adj, out, desc, anc, pos + 1, False
+    ):
+        return True
+    out[:], desc[:], anc[:] = saved
+    return _add_arc(adj, out, desc, anc, v, u) and _solve(
+        edges, adj, out, desc, anc, pos + 1, False
+    )
 
 
 def certify(

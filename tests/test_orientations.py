@@ -194,6 +194,22 @@ def test_shortcut_scan_matches_definition_on_every_orientation(g):
     assert (exists_semi_transitive(g) is None) == (not any_passes)
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_shortcut_scan_matches_reference_on_random_acyclic_orientations(data):
+    # Up to 12 vertices, each edge oriented up a random vertex rank.
+    n = data.draw(st.integers(1, 12))
+    size = n * (n - 1) // 2
+    g = chosen_graph(n, data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    rank = data.draw(st.permutations(range(n)))
+    o = orientation_from_arcs(g, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges])
+    shortcut = reference_has_shortcut(g.adj, o.out, reference_descendants(o.out))
+    assert is_semi_transitive(o) == (not shortcut)
+    w = find_shortcut(o)
+    assert (w is not None) == shortcut
+    assert w is None or w.verify(o)
+
+
 def longest_path_vertices(o: Orientation) -> int:
     """The vertex count of a longest directed path of an acyclic
     orientation, by enumerating every directed path."""
@@ -429,6 +445,23 @@ class TestSearchExactness:
         rng = random.Random("odd wheels with extras")
         for _ in range(24):
             assert_search_matches_reference(wheel_with_extras(rng))
+
+    def test_double_occurrence_word_graphs(self):
+        # The shape every searched "yes" of the decide benchmark has: the
+        # graph of a word holding each of 10-16 letters twice, within the
+        # edge budget and not 3-colourable, so certify reaches the search.
+        rng = random.Random("double-occurrence word graphs")
+        found = 0
+        while found < 40:
+            n = rng.randint(10, 16)
+            word = list(range(n)) * 2
+            rng.shuffle(word)
+            g = graph_of_word(word, n)
+            if g.edge_count > orientations.DEFAULT_EDGE_BUDGET or is_k_colourable(g, 3) is not None:
+                continue
+            assert exists_semi_transitive(g) is not None
+            assert_search_matches_reference(g)
+            found += 1
 
 
 class TestDecide:
