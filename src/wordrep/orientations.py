@@ -443,17 +443,15 @@ def _solve(
         pos += 1
     if pos == m:
         return True
-    if first_branch:
-        return _add_arc(adj, out, desc, anc, u, v) and _solve(
+    if not first_branch:
+        saved = out[:], desc[:], anc[:]
+        if _add_arc(adj, out, desc, anc, u, v) and _solve(
             edges, adj, out, desc, anc, pos + 1, False
-        )
-    saved = out[:], desc[:], anc[:]
-    if _add_arc(adj, out, desc, anc, u, v) and _solve(
-        edges, adj, out, desc, anc, pos + 1, False
-    ):
-        return True
-    out[:], desc[:], anc[:] = saved
-    return _add_arc(adj, out, desc, anc, v, u) and _solve(
+        ):
+            return True
+        out[:], desc[:], anc[:] = saved
+        u, v = v, u
+    return _add_arc(adj, out, desc, anc, u, v) and _solve(
         edges, adj, out, desc, anc, pos + 1, False
     )
 
