@@ -3,12 +3,15 @@
 For every workload declared in BENCHMARK.json, runs ``bench/run.py`` of the
 parent checkout and of this checkout in ten alternating ``--trace 0``
 pairs, the parent first in odd pairs and the change first in even ones,
-then one ``--trace 1`` pair, and keeps the last two lines of each run's
-standard output: the run record and the result line.
-``runs["<workload>/trace0"]`` of each side is the list of its ten runs in
-pair order, and ``summary["<workload>"]`` holds, per end-to-end metric,
-each side's quartiles and median over those runs and the number of pairs
-in which the change is the better side.  Each side also records what sets
+then in three alternating ``--trace 1`` pairs, and keeps the last two lines
+of each run's standard output: the run record and the result line.
+``runs["<workload>/trace0"]`` and ``runs["<workload>/trace1"]`` of each
+side are the lists of its runs in pair order.  ``summary["<workload>"]``
+holds, per end-to-end metric, each side's quartiles and median over the
+untraced runs and the number of pairs in which the change is the better
+side, and under ``"per_layer"``, per per-layer metric, each side's median
+over the traced runs: one traced run reads a layer's time far apart from
+the next on the same code.  Each side also records what sets
 its ``setup_s`` besides the code: its interpreter's ``sys.version``, whether
 ``PYTHONDONTWRITEBYTECODE`` was set, and whether the checkout already held
 compiled bytecode of ``wordrep`` when the recording started.  The variable
@@ -33,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED_PAIRS = 3
 SIDES = ("parent", "change")
 
 
@@ -91,6 +95,22 @@ def _summary(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     return out
 
 
+def _per_layer(runs: dict[str, list[dict]], per_layer: list[dict]) -> dict:
+    """Per per-layer metric: each side's median over its traced runs."""
+    return {
+        metric["name"]: {
+            "better": metric["better"],
+            **{
+                side: statistics.median(
+                    r["result"]["metrics"][metric["name"]]["value"] for r in runs[side]
+                )
+                for side in SIDES
+            },
+        }
+        for metric in per_layer
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
@@ -105,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "seconds": seconds,
         "pairs": PAIRS,
+        "traced_pairs": TRACED_PAIRS,
         "summary": {},
         **{
             side: {"describe": _describe(path), **_setup_mode(path), "runs": {}}
@@ -112,19 +133,22 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     for workload in (w["name"] for w in declared["workloads"]):
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for i in range(PAIRS):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                print(f"{side} {workload} --trace 0 pair {i + 1}/{PAIRS}",
-                      file=sys.stderr, flush=True)
-                runs[side].append(_run(sides[side], workload, args.seed, seconds, 0))
-        for side in SIDES:
-            out[side]["runs"][f"{workload}/trace0"] = runs[side]
-            print(f"{side} {workload} --trace 1", file=sys.stderr, flush=True)
-            out[side]["runs"][f"{workload}/trace1"] = _run(
-                sides[side], workload, args.seed, seconds, 1
-            )
-        out["summary"][workload] = _summary(runs, declared["end_to_end"])
+        runs = {}
+        for trace, pairs in ((0, PAIRS), (1, TRACED_PAIRS)):
+            runs[trace] = {side: [] for side in SIDES}
+            for i in range(pairs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    print(f"{side} {workload} --trace {trace} pair {i + 1}/{pairs}",
+                          file=sys.stderr, flush=True)
+                    runs[trace][side].append(
+                        _run(sides[side], workload, args.seed, seconds, trace)
+                    )
+            for side in SIDES:
+                out[side]["runs"][f"{workload}/trace{trace}"] = runs[trace][side]
+        out["summary"][workload] = {
+            **_summary(runs[0], declared["end_to_end"]),
+            "per_layer": _per_layer(runs[1], declared["per_layer"]),
+        }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

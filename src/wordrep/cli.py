@@ -36,9 +36,6 @@ def _load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as f:
         obj = json.load(f)
     try:  # a malformed file is a usage error, not a crash
-        for x in (obj["n"], *(v for e in obj["edges"] for v in e)):
-            if type(x) is not int:
-                raise TypeError(f"{x!r} is not an integer")
         return Graph.from_json_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -126,9 +126,15 @@ class Graph(_Frozen):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        """Build a graph from any iterable of (u, v) pairs, normalising order."""
+        """Build a graph from any iterable of (u, v) pairs, normalising order.
+
+        ``ValueError`` when an end is not an ``int``: a bool would otherwise
+        pass as 0 or 1 and stay a bool in ``edges``.
+        """
         norm = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
@@ -198,7 +204,12 @@ class Graph(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> Graph:
-        return cls.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        """The graph of a ``to_json_obj`` object; ``ValueError`` when ``n``
+        or an edge end is not an ``int`` (a bool is not)."""
+        n = obj["n"]
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} is not an int")
+        return cls.from_edges(n, obj["edges"])
 
 
 def _prechecked(cls: type[_T], **values: object) -> _T:
@@ -233,7 +244,8 @@ def _narrow(adj: tuple[int, ...], domains: list[int], v: int, c: int) -> bool:
     Each domain is a bit mask of the colours still open to an uncoloured
     vertex (bit c for colour c).  Colour c leaves the domains of v's
     uncoloured neighbours, those above v; a neighbour left with one colour
-    passes that colour on to its own uncoloured neighbours in turn.
+    passes that colour on to its own uncoloured neighbours in turn, at once
+    and to all of them.
     """
     above = -2 << v  # the vertices after v, all uncoloured
     stack = [(v, c)]
@@ -268,10 +280,14 @@ def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
     empty.  A colour leaves a domain only when the colouring so far, or a
     neighbour's forced last colour, rules it out of every proper extension,
     so a pruned branch holds no witness and the first witness is the one the
-    plain lexicographic backtracking finds.  The depth-first search keeps
-    each vertex's domains and untried colours in arrays and loops over the
-    vertices instead of recursing through a closure, so a call leaves no
-    reference cycle behind.
+    plain lexicographic backtracking finds.  ``_narrow`` passes a forced
+    colour on to every later neighbour as soon as it is forced, so a vertex
+    reached with one open colour takes it without copying or narrowing the
+    domains again; with k = 1 the starting domains are single colours that
+    nobody has passed on, so there every vertex narrows.  The depth-first
+    search keeps each vertex's domains and untried colours in arrays and
+    loops over the vertices instead of recursing through a closure, so a
+    call leaves no reference cycle behind.
     """
     if k < 0:
         raise ValueError("negative colour count")
@@ -297,15 +313,18 @@ def is_k_colourable(g: Graph, k: int) -> Optional[Colouring]:
         low = open_ & -open_
         untried[v] = open_ ^ low
         c = low.bit_length() - 1
-        narrowed = levels[v].copy()
-        if _narrow(adj, narrowed, v, c):
-            assigned[v] = c
-            v += 1
-            if v == n:
-                return Colouring(tuple(assigned))
-            top = used[v] = max(used[v - 1], c)
-            levels[v] = narrowed
-            untried[v] = narrowed[v] & ((2 << min(k, top + 1)) - 2)
+        narrowed = levels[v]
+        if narrowed[v] != low or k == 1:  # else v's forced colour is passed on
+            narrowed = narrowed.copy()
+            if not _narrow(adj, narrowed, v, c):
+                continue
+        assigned[v] = c
+        v += 1
+        if v == n:
+            return Colouring(tuple(assigned))
+        top = used[v] = max(used[v - 1], c)
+        levels[v] = narrowed
+        untried[v] = narrowed[v] & ((2 << min(k, top + 1)) - 2)
 
 
 def chromatic_number(g: Graph) -> int:

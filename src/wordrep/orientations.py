@@ -79,36 +79,37 @@ def orientation_from_arcs(g: Graph, arcs: Iterable[tuple[int, int]]) -> Orientat
     return Orientation(g, tuple(out))
 
 
-def _layers(out: Sequence[int], n: int) -> Optional[list[list[int]]]:
-    """Kahn's topological sort, one layer at a time, or None on a directed cycle.
+def _layers(adj: Sequence[int], out: Sequence[int]) -> Optional[list[list[int]]]:
+    """Topological sort of an orientation, one layer at a time, or None on a
+    directed cycle.
 
-    Layer 0 holds the sources and layer k + 1 the vertices whose highest
-    in-neighbour lies in layer k, so every arc climbs to a higher layer and
-    the number of layers is the number of vertices on a longest directed
-    path.
+    Every edge has exactly one direction, so v's in-neighbours are
+    ``adj[v] & ~out[v]``.  Layer 0 holds the sources, and each next layer
+    the vertices left with no in-neighbour among those left, in ascending
+    order.  So layer k + 1 holds the vertices whose highest in-neighbour
+    lies in layer k, every arc climbs to a higher layer, and the number of
+    layers is the number of vertices on a longest directed path.
     """
-    indeg = [0] * n
-    for m in out:
-        while m:
-            low = m & -m
-            indeg[low.bit_length() - 1] += 1
-            m ^= low
-    layer = [v for v in range(n) if indeg[v] == 0]
+    into = [a & ~o for a, o in zip(adj, out)]
     layers = []
-    while layer:
+    rest = range(len(out))  # the vertices left, ascending
+    left = (1 << len(out)) - 1  # and as a mask
+    while rest:
+        layer = []
+        keep = []
+        taken = 0
+        for v in rest:
+            if into[v] & left:
+                keep.append(v)
+            else:
+                layer.append(v)
+                taken |= 1 << v
+        if not layer:
+            return None
         layers.append(layer)
-        nxt = []
-        for u in layer:
-            m = out[u]
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    nxt.append(v)
-                m ^= low
-        layer = nxt
-    return layers if sum(map(len, layers)) == n else None
+        left ^= taken
+        rest = keep
+    return layers
 
 
 def _reach(out: Sequence[int], layers: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -191,7 +192,7 @@ def _first_shortcut(
 
 
 def is_acyclic(o: Orientation) -> bool:
-    return _layers(o.out, o.graph.n) is not None
+    return _layers(o.graph.adj, o.out) is not None
 
 
 class ShortcutWitness(NamedTuple):
@@ -243,7 +244,7 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     """
     g = o.graph
     out = o.out
-    layers = _layers(out, g.n)
+    layers = _layers(g.adj, out)
     if layers is None:
         raise ValueError("shortcut search needs an acyclic orientation")
     if len(layers) < 4:
@@ -267,7 +268,7 @@ def is_semi_transitive(o: Orientation) -> bool:
     case for a colour-level orientation.
     """
     g = o.graph
-    layers = _layers(o.out, g.n)
+    layers = _layers(g.adj, o.out)
     if layers is None:
         return False
     if len(layers) < 4:
@@ -282,18 +283,24 @@ def orientation_from_colouring(g: Graph, c: Colouring) -> Orientation:
     three vertices and no shortcut can exist; the result is always
     semi-transitive.  Its topological layers number at most three, so
     ``is_semi_transitive`` re-checks it by the sort alone.
+
+    The colouring is refused unless it is proper, as strictly as
+    ``Colouring.is_proper_for`` refuses it, but on one mask per colour
+    class: no vertex may have a neighbour in its own class.
     """
-    if len(c.colours) != g.n:
+    colours = c.colours
+    if len(colours) != g.n:
         raise ValueError("colouring length does not match the graph")
-    if any(col not in (1, 2, 3) for col in c.colours):
+    if any(col not in (1, 2, 3) for col in colours):
         raise ValueError("colour values must lie in {1, 2, 3}")
-    if not c.is_proper_for(g):
+    klass = [0, 0, 0, 0]  # klass[k]: the vertices coloured k
+    for v, col in enumerate(colours):
+        klass[col] |= 1 << v
+    adj = g.adj
+    if any(a & klass[col] for a, col in zip(adj, colours)):
         raise ValueError("colouring is not proper")
-    above = [0, 0, 0, 0]  # above[k]: the vertices coloured higher than k
-    for v, col in enumerate(c.colours):
-        above[1] |= (col > 1) << v
-        above[2] |= (col > 2) << v
-    return Orientation(g, tuple(a & above[col] for a, col in zip(g.adj, c.colours)))
+    above = (0, klass[2] | klass[3], klass[3], 0)  # above[k]: coloured higher than k
+    return Orientation(g, tuple(a & above[col] for a, col in zip(adj, colours)))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordrep.graphs
 from wordrep.boards import (
     enumerate_triangulations,
     parse_board,
@@ -81,6 +82,17 @@ class TestGraphType:
     def test_json_round_trip(self):
         g = wheel(5)
         assert Graph.from_json_obj(g.to_json_obj()) == g
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"n": 2.5, "edges": []}, {"n": "2", "edges": []}, {"n": 2, "edges": [[0, True]]}],
+        ids=["float-n", "string-n", "bool-end"],
+    )
+    def test_json_refuses_non_int_values(self, obj):
+        # int(2.5) would read a 2-vertex graph, and a True end would stay a
+        # bool in ``edges``.
+        with pytest.raises(ValueError, match="is not an int"):
+            Graph.from_json_obj(obj)
 
 
 class TestColouring:
@@ -161,6 +173,38 @@ class TestColouringExactness:
         assert_same_colourings(
             triangulate(board, t).graph for t in enumerate_triangulations(board)
         )
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cells 3x3",
+        "cells 3x3; domino H 1 1",
+        "cells 3x3; domino V 0 1",
+        "cells 3x4; domino H 1 1",
+        "cells 2x5; domino V 0 2",
+    ],
+)
+def test_forced_colours_are_narrowed_once(monkeypatch, spec):
+    # The first two vertices of a 3-colourable triangulation force every
+    # other colour, and ``_narrow`` passes each forced colour on when it is
+    # forced, so the loop takes the rest without narrowing again.
+    calls = []
+
+    def counting(adj, domains, v, c):
+        calls.append(v)
+        return narrow(adj, domains, v, c)
+
+    narrow = wordrep.graphs._narrow
+    monkeypatch.setattr(wordrep.graphs, "_narrow", counting)
+    board = parse_board(spec)
+    colourable = 0
+    for t in enumerate_triangulations(board):
+        calls.clear()
+        if is_k_colourable(triangulate(board, t).graph, 3) is not None:
+            colourable += 1
+            assert len(calls) == 2, (spec, t)
+    assert colourable > 0
+
 
 def test_colouring_leaves_no_garbage():
     # A self-recursive closure in the colouring would leave one reference

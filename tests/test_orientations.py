@@ -232,7 +232,7 @@ class TestLayers:
         g = Graph(n, tuple(e for e in pairs if data.draw(st.booleans())))
         forward = [data.draw(st.booleans()) for _ in g.edges]
         o = per_edge(g, forward)
-        layers = orientations._layers(o.out, n)
+        layers = orientations._layers(g.adj, o.out)
         assert (layers is None) == (reference_descendants(o.out) is None)
         assert is_semi_transitive(o) == semi_transitive_by_paths(o)
         if layers is None:
@@ -264,6 +264,21 @@ class TestColourOrientation:
     def test_rejects_fourth_colour(self):
         with pytest.raises(ValueError):
             orientation_from_colouring(Graph(2, ()), Colouring((1, 4)))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_the_improper_colourings(self, data):
+        n = data.draw(st.integers(0, 10))
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph(n, tuple(e for e in pairs if data.draw(st.booleans())))
+        colours = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
+        if any(colours[u] == colours[v] for u, v in g.edges):
+            with pytest.raises(ValueError, match="not proper"):
+                orientation_from_colouring(g, Colouring(colours))
+            return
+        o = orientation_from_colouring(g, Colouring(colours))
+        assert all(o.has_arc(u, v) == (colours[u] < colours[v]) for u, v in g.edges)
+        assert all(o.has_arc(v, u) == (colours[v] < colours[u]) for u, v in g.edges)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -91,7 +91,7 @@ def test_bench_record_notes_the_set_up_mode(scripts, monkeypatch, tmp_path, valu
     if compiled:
         (cache / f"graphs.{sys.implementation.cache_tag}.pyc").write_bytes(b"")
     declared = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
-    names = [m["name"] for m in declared["end_to_end"]]
+    names = [m["name"] for m in declared["end_to_end"] + declared["per_layer"]]
     monkeypatch.setattr(bench_record, "_describe", lambda checkout: "abc1234")
     monkeypatch.setattr(
         bench_record, "_run",
@@ -105,3 +105,51 @@ def test_bench_record_notes_the_set_up_mode(scripts, monkeypatch, tmp_path, valu
         assert written[side]["pythondontwritebytecode"] is not writes
         assert written[side]["describe"] == "abc1234"
     assert written["parent"]["cached_bytecode"] is compiled
+
+
+def test_bench_record_medians_three_traced_pairs(scripts, monkeypatch, tmp_path):
+    # One traced run reads a layer's time far apart from the next on the
+    # same code, so each side keeps three traced runs, made in alternating
+    # pairs, and the summary gives their medians per layer.
+    import bench_record
+
+    declared = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["end_to_end"] + declared["per_layer"]]
+    traced = {"parent": iter([3, 1, 2] * 3), "change": iter([5, 9, 4] * 3)}
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout == parent else "change"
+        calls.append((workload, trace, side))
+        value = next(traced[side]) if trace else 1
+        return {"record": {"trace": trace}, **runs_of([value], names)[0]}
+
+    parent = (tmp_path / "parent").resolve()
+    monkeypatch.setattr(bench_record, "_describe", lambda checkout: "abc1234")
+    monkeypatch.setattr(bench_record, "_run", run)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
+    first = [("parent", "change"), ("change", "parent")]
+    assert calls == [
+        (workload, trace, side)
+        for workload in workloads
+        for trace, pairs in ((0, 10), (1, 3))
+        for i in range(pairs)
+        for side in first[i % 2]
+    ]
+    assert written["traced_pairs"] == 3
+    for workload in workloads:
+        for side in bench_record.SIDES:
+            runs = written[side]["runs"]
+            assert [r["record"]["trace"] for r in runs[f"{workload}/trace0"]] == [0] * 10
+            assert [r["record"]["trace"] for r in runs[f"{workload}/trace1"]] == [1] * 3
+        per_layer = written["summary"][workload]["per_layer"]
+        assert per_layer == {
+            m["name"]: {"better": m["better"], "parent": 2, "change": 5}
+            for m in declared["per_layer"]
+        }
+        assert set(written["summary"][workload]) == {
+            m["name"] for m in declared["end_to_end"]
+        } | {"per_layer"}
