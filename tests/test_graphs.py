@@ -174,6 +174,7 @@ class TestColouringExactness:
             triangulate(board, t).graph for t in enumerate_triangulations(board)
         )
 
+
 @pytest.mark.parametrize(
     "spec",
     [
