@@ -3,15 +3,18 @@
 For every workload declared in BENCHMARK.json, runs ``bench/run.py`` of the
 parent checkout and of this checkout in ten alternating ``--trace 0``
 pairs, the parent first in odd pairs and the change first in even ones,
-then in three alternating ``--trace 1`` pairs, and keeps the last two lines
+then in five alternating ``--trace 1`` pairs, and keeps the last two lines
 of each run's standard output: the run record and the result line.
 ``runs["<workload>/trace0"]`` and ``runs["<workload>/trace1"]`` of each
 side are the lists of its runs in pair order.  ``summary["<workload>"]``
 holds, per end-to-end metric, each side's quartiles and median over the
 untraced runs and the number of pairs in which the change is the better
-side, and under ``"per_layer"``, per per-layer metric, each side's median
-over the traced runs: one traced run reads a layer's time far apart from
-the next on the same code.  Each side also records what sets
+side, and under ``"per_layer"``, per per-layer metric, each side's
+quartiles and median over the traced runs.  One traced run can read a
+layer's time far apart from the next on the same code, and the runs of
+one side can fall in two modes; the quartiles then stand wide apart
+around the median instead of the median silently following two or three
+runs of one mode.  Each side also records what sets
 its ``setup_s`` besides the code: its interpreter's ``sys.version``, whether
 ``PYTHONDONTWRITEBYTECODE`` was set, and whether the checkout already held
 compiled bytecode of ``wordrep`` when the recording started.  The variable
@@ -36,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-TRACED_PAIRS = 3
+TRACED_PAIRS = 5
 SIDES = ("parent", "change")
 
 
@@ -74,19 +77,24 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     }
 
 
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def _values(runs: list[dict], name: str) -> list[float]:
+    return [r["result"]["metrics"][name]["value"] for r in runs]
+
+
 def _summary(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """Per metric: each side's q1, median and q3, and the pairs the change wins."""
     out = {}
     for metric in end_to_end:
         name = metric["name"]
-        values = {
-            side: [r["result"]["metrics"][name]["value"] for r in runs[side]]
-            for side in SIDES
-        }
+        values = {side: _values(runs[side], name) for side in SIDES}
         entry: dict = {"better": metric["better"]}
         for side in SIDES:
-            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
-            entry[side] = {"q1": q1, "median": median, "q3": q3}
+            entry[side] = _quartiles(values[side])
         sign = 1 if metric["better"] == "higher" else -1
         entry["change_better_pairs"] = sum(
             sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
@@ -96,16 +104,11 @@ def _summary(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
 
 
 def _per_layer(runs: dict[str, list[dict]], per_layer: list[dict]) -> dict:
-    """Per per-layer metric: each side's median over its traced runs."""
+    """Per per-layer metric: each side's q1, median and q3 over its traced runs."""
     return {
         metric["name"]: {
             "better": metric["better"],
-            **{
-                side: statistics.median(
-                    r["result"]["metrics"][metric["name"]]["value"] for r in runs[side]
-                )
-                for side in SIDES
-            },
+            **{side: _quartiles(_values(runs[side], metric["name"])) for side in SIDES},
         }
         for metric in per_layer
     }

@@ -1,15 +1,18 @@
 """Small labeled undirected graphs with bit-set adjacency.
 
-Vertices are 0..n-1 with n capped at 24 so every adjacency row fits in one
-machine word.  Graphs are immutable values: safe to hash, share, and send
-between workers.  The facts derived from a graph are kept on it, each worked
-out on first use: its adjacency ``matrix`` as one int, its degree classes
-``at_least`` and its odd-link vertices.  The value types are plain classes
-that refuse assignment (``_Frozen``) or named tuples, so importing the
-package pulls in no record machinery.  The odd links are found by one
-resumable scan that runs the parity tests in index order, each vertex at
-most once, and only as far as a caller asks: ``first_odd_link`` stops at the
-first odd-link vertex it needs, ``odd_links`` finishes the scan.
+Vertices are 0..n-1, with no cap on n: an adjacency row is a Python int, so
+a row of any length is one bit mask.  A graph built from a list of pairs
+takes one pass over them, which checks each pair and sets its bits in both
+rows; its sorted edge list is then read off the rows.  Graphs are immutable
+values: safe to hash, share, and send between workers.  The facts derived
+from a graph are kept on it, each worked out on first use: its adjacency
+``matrix`` as one int, its degree classes ``at_least`` and its odd-link
+vertices.  The value types are plain classes that refuse assignment
+(``_Frozen``) or named tuples, so importing the package pulls in no record
+machinery.  The odd links are found by one resumable scan that runs the
+parity tests in index order, each vertex at most once, and only as far as a
+caller asks: ``first_odd_link`` stops at the first odd-link vertex it needs,
+``odd_links`` finishes the scan.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Type
 
 from .errors import GraphSizeError
 
-MAX_VERTICES = 24
 MAX_PATTERN_VERTICES = 12
 
 _T = TypeVar("_T")
@@ -109,8 +111,7 @@ class Graph(_Frozen):
     adj: tuple[int, ...]
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
-        if not 0 <= n <= MAX_VERTICES:
-            raise GraphSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_count(n)
         masks = [0] * n
         prev: Optional[tuple[int, int]] = None
         for e in edges:
@@ -126,19 +127,31 @@ class Graph(_Frozen):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        """Build a graph from any iterable of (u, v) pairs, normalising order.
+        """Build a graph from any iterable of (u, v) pairs, in any order and
+        either way round; a repeated pair is one edge.
 
-        ``ValueError`` when an end is not an ``int``: a bool would otherwise
-        pass as 0 or 1 and stay a bool in ``edges``.
+        One pass over the pairs checks each one and sets its bits in both
+        adjacency rows, and the sorted ``edges`` are read off the rows.
+        ``ValueError`` when ``n`` is negative or a pair has an end that is
+        not an ``int`` (a bool would pass as 0 or 1 and stay a bool in
+        ``edges``), is a self-loop, or has an end outside 0..n-1.  ``n`` is
+        checked first and then each pair in turn, so for an input with
+        several faults the first fault in input order is the one reported.
         """
-        norm = set()
+        _check_count(n)
+        rows = [0] * n
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n, tuple(sorted(norm)))
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
+                raise ValueError(f"edge {(u, v)!r} is not a sorted in-range pair")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return _graph_of_rows(n, rows)
 
     @property
     def edge_count(self) -> int:
@@ -204,12 +217,32 @@ class Graph(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> Graph:
-        """The graph of a ``to_json_obj`` object; ``ValueError`` when ``n``
-        or an edge end is not an ``int`` (a bool is not)."""
+        """The graph of a ``to_json_obj`` object, built by ``from_edges``;
+        ``ValueError`` when ``n`` is not an ``int`` (a bool is not) or when
+        ``from_edges`` refuses the count or a pair."""
         n = obj["n"]
         if type(n) is not int:
             raise ValueError(f"vertex count {n!r} is not an int")
         return cls.from_edges(n, obj["edges"])
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
+
+
+def _graph_of_rows(n: int, rows: list[int]) -> Graph:
+    """The graph whose adjacency rows are ``rows``, which must be symmetric
+    and loop-free, with its sorted ``edges`` read off the rows: row u's bits
+    above u, in ascending order."""
+    edges = []
+    for u, row in enumerate(rows):
+        m = row >> u >> 1  # bit i: vertex u + 1 + i
+        while m:
+            low = m & -m
+            edges.append((u, u + low.bit_length()))
+            m ^= low
+    return _prechecked(Graph, n=n, edges=tuple(edges), adj=tuple(rows))
 
 
 def _prechecked(cls: type[_T], **values: object) -> _T:
@@ -217,10 +250,11 @@ def _prechecked(cls: type[_T], **values: object) -> _T:
     attribute (``Graph``'s ``adj`` included) and any kept fact already
     known (``Graph.matrix``), without running its checking ``__init__``.
 
-    Only for values already checked once for many instances:
-    ``boards.walk_hosts`` checks a board's template once and builds every
-    host's ``Graph`` and ``EmbeddedGraph`` through here.  Every public
-    constructor still checks whatever it is given.
+    Only for values already checked, once for many instances or in the pass
+    that built them: ``boards.walk_hosts`` checks a board's template once
+    and builds every host's ``Graph`` and ``EmbeddedGraph`` through here,
+    and ``Graph.from_edges`` checks each pair as it sets its row bits.
+    ``Graph`` and ``EmbeddedGraph`` still check whatever they are given.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(values)

@@ -526,11 +526,3 @@ def semi_transitive_certificate(
     orientation of ``certify``, which says which route decided."""
     return certify(g, edge_budget)[0]
 
-
-def decide_word_representable(g: Graph, edge_budget: Optional[int] = None) -> bool:
-    """True iff the graph admits a semi-transitive orientation.
-
-    Raises BudgetExceededError instead of guessing when the search space is
-    over budget.
-    """
-    return semi_transitive_certificate(g, edge_budget) is not None

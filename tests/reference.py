@@ -8,6 +8,12 @@ from wordrep.graphs import Graph, bits
 from wordrep.orientations import cycle_is_comparability
 
 
+def reference_graph(n, pairs):
+    """The graph of a pair list built the plain way: a set of normalised
+    pairs, sorted, then the strict constructor."""
+    return Graph(n, tuple(sorted({(u, v) if u < v else (v, u) for u, v in pairs})))
+
+
 def reference_colouring(g, k):
     """The plain lexicographic backtracker: vertices in index order, colours
     ascending up to one more than the largest used, no look-ahead."""

@@ -45,10 +45,10 @@ from wordrep.graphs import (
 )
 from wordrep.orientations import (
     check_odd_wheel,
-    decide_word_representable,
     exists_semi_transitive,
     is_semi_transitive,
     orientation_from_colouring,
+    semi_transitive_certificate,
 )
 from wordrep.verify import sweep, verify_rotation_reduction
 from wordrep.words import graph_of_word, parse_word, represents, search_uniform_word
@@ -138,7 +138,7 @@ def test_criterion_3_domino_patterns():
 
 def test_criterion_4_odd_wheels():
     started = time.monotonic()
-    ok = all(not decide_word_representable(wheel(m)) for m in (5, 7, 9))
+    ok = all(semi_transitive_certificate(wheel(m)) is None for m in (5, 7, 9))
     ok = ok and chromatic_number(wheel(5)) == 4
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 10.0
@@ -273,7 +273,7 @@ def test_criterion_10_oracle_cross_check():
     witnessed = 0
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
-            if not decide_word_representable(g):
+            if semi_transitive_certificate(g) is None:
                 ok = False
                 break
             word = None
@@ -285,7 +285,7 @@ def test_criterion_10_oracle_cross_check():
                 ok = False
                 break
             witnessed += 1
-    ok = ok and not decide_word_representable(wheel(5))
+    ok = ok and semi_transitive_certificate(wheel(5)) is None
     ok = ok and search_uniform_word(wheel(5), 2) is None
     ok = ok and search_uniform_word(wheel(5), 3) is None
     elapsed = time.monotonic() - started

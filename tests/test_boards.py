@@ -228,8 +228,8 @@ class TestHostBuilder:
         assert_walk_gives(b, start, stop, expected)
 
     def test_walk_checks_the_budget_before_any_layout(self, monkeypatch):
-        # cells 1x21 has 44 vertices, too many for a Graph: the budget must
-        # be what refuses it.
+        # cells 1x21 has 21 binary choices: the budget must refuse it before
+        # the board is laid out.
         monkeypatch.setattr(boards, "_layout", None)
         with pytest.raises(BudgetExceededError, match="21 binary choices exceed"):
             walk_hosts(parse_board("cells 1x21"), 0, 1, lambda literal, host: None)

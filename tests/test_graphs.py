@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from wordrep.graphs import (
 )
 from wordrep.orientations import check_odd_wheel
 
-from reference import reference_colouring, reference_induced_search
+from reference import reference_colouring, reference_graph, reference_induced_search
 
 
 @st.composite
@@ -42,6 +43,17 @@ def graphs(draw, min_n=1, max_n=7):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+@st.composite
+def pair_lists(draw, max_n=9):
+    """A vertex count and a list of pairs on it in any order, either way
+    round, repeats allowed."""
+    n = draw(st.integers(0, max_n))
+    ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if not ordered:
+        return n, []
+    return n, draw(st.lists(st.sampled_from(ordered), max_size=3 * n))
 
 
 class TestGraphType:
@@ -66,13 +78,51 @@ class TestGraphType:
             sum(1 << v for v in range(g.n) if g.degree(v) >= d) for d in range(g.n)
         )
 
-    def test_rejects_too_many_vertices(self):
-        with pytest.raises(GraphSizeError):
-            Graph(25, ())
+    def test_vertex_count_has_no_cap(self):
+        # A row is a Python int, so the count is bounded below only: a 4x4
+        # board's 25 vertices, or a 12x12 board's 169, make a graph.
+        assert Graph(25, ()).n == 25
+        assert Graph.from_edges(169, [(168, 0)]).adj[168] == 1
+        with pytest.raises(ValueError, match="^vertex count -1 is negative$"):
+            Graph(-1, ())
 
     def test_from_edges_normalises(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges == ((0, 1), (0, 2))
+
+    @given(pair_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_from_edges_matches_the_plain_build(self, case):
+        n, pairs = case
+        g = Graph.from_edges(n, pairs)
+        ref = reference_graph(n, pairs)
+        assert (g.n, g.edges, g.adj) == (ref.n, ref.edges, ref.adj)
+        back = Graph.from_json_obj(json.loads(json.dumps(g.to_json_obj())))
+        assert (back.n, back.edges, back.adj) == (ref.n, ref.edges, ref.adj)
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (3, [(0, 1), (0, 1.5)], "edge (0, 1.5) has an end that is not an int"),
+            (3, [(True, 2)], "edge (True, 2) has an end that is not an int"),
+            (3, [(0, 2), (1, 1)], "self-loop at vertex 1"),
+            (3, [(2, -1)], "edge (-1, 2) is not a sorted in-range pair"),
+            (3, [(1, 2), (3, 0)], "edge (0, 3) is not a sorted in-range pair"),
+            (-1, [], "vertex count -1 is negative"),
+        ],
+        ids=["non-int-end", "bool-end", "self-loop", "negative-end", "end-at-n", "negative-n"],
+    )
+    def test_from_edges_reports_each_fault(self, n, pairs, message):
+        with pytest.raises(ValueError) as raised:
+            Graph.from_edges(n, pairs)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+    def test_from_edges_reports_the_first_fault_in_input_order(self):
+        pairs = [(0, 1), (5, 0), (2, 2), (0, "x")]
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) is not a sorted in-range pair$"):
+            Graph.from_edges(3, pairs)
+        with pytest.raises(ValueError, match="^vertex count -2 is negative$"):
+            Graph.from_edges(-2, pairs)
 
     def test_adjacency_symmetric(self):
         g = cycle(5)

@@ -29,7 +29,6 @@ from wordrep.orientations import (
     certify,
     check_odd_wheel,
     cycle_is_comparability,
-    decide_word_representable,
     exists_semi_transitive,
     find_shortcut,
     is_acyclic,
@@ -481,13 +480,13 @@ class TestSearchExactness:
 
 class TestDecide:
     def test_square_yes(self):
-        assert decide_word_representable(cycle(4))
+        assert semi_transitive_certificate(cycle(4)) is not None
 
     def test_w5_no(self):
-        assert not decide_word_representable(wheel(5))
+        assert semi_transitive_certificate(wheel(5)) is None
 
     def test_single_vertex(self):
-        assert decide_word_representable(Graph(1, ()))
+        assert semi_transitive_certificate(Graph(1, ())) is not None
 
     def test_fast_path_produces_checked_certificate(self):
         o = semi_transitive_certificate(cycle(6))
@@ -498,7 +497,7 @@ class TestDecide:
         from wordrep.words import represents, search_uniform_word
 
         for g in nonisomorphic_graphs(4):
-            assert decide_word_representable(g)
+            assert semi_transitive_certificate(g) is not None
             w = next(
                 w
                 for k in (1, 2, 3)

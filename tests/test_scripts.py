@@ -107,15 +107,17 @@ def test_bench_record_notes_the_set_up_mode(scripts, monkeypatch, tmp_path, valu
     assert written["parent"]["cached_bytecode"] is compiled
 
 
-def test_bench_record_medians_three_traced_pairs(scripts, monkeypatch, tmp_path):
+def test_bench_record_summarises_five_traced_pairs(scripts, monkeypatch, tmp_path):
     # One traced run reads a layer's time far apart from the next on the
-    # same code, so each side keeps three traced runs, made in alternating
-    # pairs, and the summary gives their medians per layer.
+    # same code, and one side's runs can fall in two modes, so each side
+    # keeps five traced runs, made in alternating pairs, and the summary
+    # gives their quartiles per layer: a bimodal layer shows as a wide
+    # spread around its median.
     import bench_record
 
     declared = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in declared["end_to_end"] + declared["per_layer"]]
-    traced = {"parent": iter([3, 1, 2] * 3), "change": iter([5, 9, 4] * 3)}
+    traced = {"parent": iter([3, 1, 2, 4, 5] * 3), "change": iter([9, 4, 9, 4, 5] * 3)}
     calls = []
 
     def run(checkout, workload, seed, seconds, trace):
@@ -135,19 +137,23 @@ def test_bench_record_medians_three_traced_pairs(scripts, monkeypatch, tmp_path)
     assert calls == [
         (workload, trace, side)
         for workload in workloads
-        for trace, pairs in ((0, 10), (1, 3))
+        for trace, pairs in ((0, 10), (1, 5))
         for i in range(pairs)
         for side in first[i % 2]
     ]
-    assert written["traced_pairs"] == 3
+    assert written["traced_pairs"] == 5
     for workload in workloads:
         for side in bench_record.SIDES:
             runs = written[side]["runs"]
             assert [r["record"]["trace"] for r in runs[f"{workload}/trace0"]] == [0] * 10
-            assert [r["record"]["trace"] for r in runs[f"{workload}/trace1"]] == [1] * 3
+            assert [r["record"]["trace"] for r in runs[f"{workload}/trace1"]] == [1] * 5
         per_layer = written["summary"][workload]["per_layer"]
         assert per_layer == {
-            m["name"]: {"better": m["better"], "parent": 2, "change": 5}
+            m["name"]: {
+                "better": m["better"],
+                "parent": {"q1": 2, "median": 3, "q3": 4},
+                "change": {"q1": 4, "median": 5, "q3": 9},
+            }
             for m in declared["per_layer"]
         }
         assert set(written["summary"][workload]) == {
