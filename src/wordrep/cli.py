@@ -17,14 +17,10 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from .boards import parse_board, enumerate_triangulations
-from .catalog import ClosurePolicy, closure_report, forbidden_set, minimal_graphs
-from .dot import embedded_to_dot, graph_to_dot
+# Each command imports the library modules it calls in its own body, so a
+# start pays only for what its command runs.
 from .errors import BudgetExceededError
 from .graphs import Graph, chromatic_number, is_k_colourable
-from .orientations import certify, route_of
-from .verify import sweep, verify_theorem, write_report
-from .words import format_word, graph_of_word, parse_word, represents
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -33,16 +29,13 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    try:  # a malformed file is a usage error, not a crash
-        return Graph.from_json_obj(obj)
+    # A malformed file, undecodable or not JSON text included, is a usage
+    # error that names the file, not a crash.
+    try:
+        with open(path, encoding="utf-8") as f:
+            return Graph.from_json_obj(json.load(f))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
-
-
-def _policy(value: str) -> ClosurePolicy:
-    return ClosurePolicy(value)
 
 
 def _int_at_least(value: str, low: int) -> int:
@@ -83,11 +76,15 @@ def cmd_check_word(args) -> int:
         raise ValueError("--emit-graph takes --format json or dot")
     if args.graph is not None and args.format == "dot":
         raise ValueError("--graph takes --format json or text")
+    from .words import format_word, graph_of_word, parse_word, represents
+
     word = parse_word(args.word)
     n = max(word) + 1
     derived = graph_of_word(word, n)
     if args.emit_graph:
         if args.format == "dot":
+            from .dot import graph_to_dot
+
             sys.stdout.write(graph_to_dot(derived))
         else:
             print(json.dumps(derived.to_json_obj(), sort_keys=True))
@@ -102,6 +99,8 @@ def cmd_check_word(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    from .orientations import certify, route_of
+
     g = _load_graph(args.graph)
     try:
         o, certificate = certify(g, args.budget_edges)
@@ -140,6 +139,8 @@ def cmd_colour(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .boards import enumerate_triangulations, parse_board
+
     board = parse_board(args.board, exploratory=args.exploratory)
     for t in enumerate_triangulations(board):
         print(t.literal())
@@ -147,9 +148,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    policy = _policy(args.policy)
+    from .catalog import ClosurePolicy, closure_report, forbidden_set, minimal_graphs
+
+    policy = ClosurePolicy(args.policy)
     members = forbidden_set(policy).members
     if args.emit == "dot":
+        from .dot import embedded_to_dot
+
         for m in members:
             sys.stdout.write(embedded_to_dot(m.embedded, m.name.replace("@", "_")))
         return EXIT_OK
@@ -181,6 +186,8 @@ def cmd_catalog(args) -> int:
 
 
 def _write_verdicts(report, classifications) -> int:
+    from .verify import write_report
+
     write_report(sys.stdout, report, classifications)
     print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     routes = Counter(c.route for c in classifications)
@@ -193,14 +200,21 @@ def _write_verdicts(report, classifications) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .boards import parse_board
+    from .catalog import ClosurePolicy
+    from .verify import verify_theorem
+
     board = parse_board(args.board)
-    return _write_verdicts(*verify_theorem(board, _policy(args.policy), args.jobs))
+    return _write_verdicts(*verify_theorem(board, ClosurePolicy(args.policy), args.jobs))
 
 
 def cmd_sweep(args) -> int:
+    from .catalog import ClosurePolicy
+    from .verify import sweep
+
     rows, cols = args.size
     return _write_verdicts(
-        *sweep(rows, cols, args.domino_modes, _policy(args.policy), args.jobs)
+        *sweep(rows, cols, args.domino_modes, ClosurePolicy(args.policy), args.jobs)
     )
 
 
@@ -276,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

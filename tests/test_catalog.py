@@ -174,7 +174,7 @@ class TestClosures:
 
     @pytest.mark.parametrize("policy", list(ClosurePolicy))
     def test_closed_under_their_groups(self, policy):
-        from wordrep.boards import Symmetry, transform
+        from wordrep.boards import transform
         from wordrep.catalog import _AB_GROUPS, _T_GROUPS
 
         s = forbidden_set(policy)

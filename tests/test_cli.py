@@ -165,13 +165,21 @@ class TestColour:
 
 
 MALFORMED_GRAPH_FILES = {
-    "no-n": {"edges": [[0, 1]]},
-    "not-an-object": [1, 2],
-    "string-vertex": {"n": 2, "edges": [[0, "1"]]},
-    "float-vertex": {"n": 2, "edges": [[0, 1.0]]},
-    "float-n": {"n": 2.5, "edges": []},
-    "bool-vertex": {"n": 2, "edges": [[0, True]]},
-    "one-ended-edge": {"n": 2, "edges": [[0]]},
+    name: json.dumps(obj).encode()
+    for name, obj in {
+        "no-n": {"edges": [[0, 1]]},
+        "not-an-object": [1, 2],
+        "string-vertex": {"n": 2, "edges": [[0, "1"]]},
+        "float-vertex": {"n": 2, "edges": [[0, 1.0]]},
+        "float-n": {"n": 2.5, "edges": []},
+        "bool-vertex": {"n": 2, "edges": [[0, True]]},
+        "one-ended-edge": {"n": 2, "edges": [[0]]},
+    }.items()
+} | {
+    # Files that are not JSON text at all.
+    "truncated": b'{"n": 2, "edges": [[0, 1]',
+    "empty": b"",
+    "not-utf-8": b'\xff{"n": 1, "edges": []}',
 }
 
 
@@ -180,15 +188,38 @@ MALFORMED_GRAPH_FILES = {
     [["decide"], ["colour"], ["check-word", "--word", "1212"]],
     ids=["decide", "colour", "check-word"],
 )
-@pytest.mark.parametrize("obj", MALFORMED_GRAPH_FILES.values(), ids=MALFORMED_GRAPH_FILES)
-def test_malformed_graph_file_is_a_usage_error(command, obj, tmp_path):
+@pytest.mark.parametrize("data", MALFORMED_GRAPH_FILES.values(), ids=MALFORMED_GRAPH_FILES)
+def test_malformed_graph_file_is_a_usage_error(command, data, tmp_path):
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(obj))
+    path.write_bytes(data)
     rc, out, err = run_cli(*command, "--graph", str(path))
     assert (rc, out) == (2, "")
     assert "Traceback" not in err
     assert err.count("error:") == 1 and err.startswith("error: ")
     assert str(path) in err
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The ``wordrep`` modules loaded after running ``code`` in a fresh interpreter."""
+    code += "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('wordrep.')))\n"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_decide_loads_only_what_it_calls(graph_file):
+    loaded = loaded_modules(
+        f"from wordrep.cli import main\nmain(['decide', '--graph', {graph_file(wheel(5))!r}])"
+    )
+    assert "wordrep.orientations" in loaded
+    assert loaded.isdisjoint(
+        {"wordrep.boards", "wordrep.catalog", "wordrep.verify", "wordrep.words", "wordrep.dot"}
+    ), loaded
+
+
+def test_sweep_loads_verify():
+    loaded = loaded_modules("from wordrep.cli import main\nmain(['sweep', '2x2'])")
+    assert "wordrep.verify" in loaded
 
 
 class TestEnumerate:

@@ -1,16 +1,18 @@
-"""Every module-level import is used.
+"""Every import is used where it binds its names.
 
 Parses each module under ``src/``, ``scripts/`` and ``tests/`` and reports
-a name bound by a top-level ``import`` or ``from ... import`` that the
-module never reads: not in code, not in an annotation (quoted ones
-included) and not in ``__all__``.  A deletion that leaves an import behind
-fails here.  Stdlib only.
+a name bound by an ``import`` or ``from ... import`` that its scope never
+reads: not in code, not in an annotation (quoted ones included) and not in
+``__all__``.  The scope of a module-level import is the module; that of an
+import inside a function is that function, nested functions included.  A
+deletion that leaves an import behind fails here.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -29,8 +31,22 @@ def _bound(node: ast.Import | ast.ImportFrom) -> list[str]:
     ]
 
 
-def _read(tree: ast.Module) -> set[str]:
-    """Every name the module reads, in code, in annotations and in ``__all__``."""
+def _imports(
+    scope: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef,
+) -> Iterator[ast.Import | ast.ImportFrom]:
+    """The import statements of a scope, leaving out those of the functions
+    and classes inside it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _read(tree: ast.AST) -> set[str]:
+    """Every name read under ``tree``, in code, in annotations and in ``__all__``."""
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -49,14 +65,19 @@ def _read(tree: ast.Module) -> set[str]:
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
-    read = _read(tree)
-    return [
-        f"line {node.lineno}: {name}"
-        for node in tree.body
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for name in _bound(node)
-        if name not in read
+    scopes = [tree] + [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
+    unused = []
+    for scope in scopes:
+        read = _read(scope)
+        unused += [
+            (node.lineno, name)
+            for node in _imports(scope)
+            for name in _bound(node)
+            if name not in read
+        ]
+    return [f"line {line}: {name}" for line, name in sorted(unused)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -71,3 +92,13 @@ def test_the_check_sees_code_annotations_and_all():
     assert unused_imports("from a import b\ndef f(x: 'b') -> None: ...\n") == []
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
+    # An import inside a function must be read in that function.
+    assert unused_imports("def f():\n    import os\n    return 1\n") == ["line 2: os"]
+    assert unused_imports("def f():\n    import os\n    return os.sep\n") == []
+    assert unused_imports(
+        "def f():\n    if True:\n        from a import b\n    def g():\n        return b\n"
+    ) == []
+    assert unused_imports("def f():\n    import os\n\ndef g():\n    return os.sep\n") == [
+        "line 2: os"
+    ]
+    assert unused_imports("import os\ndef f():\n    import sys\nos.sep\n") == ["line 3: sys"]
